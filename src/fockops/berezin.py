@@ -6,20 +6,22 @@ psi(z) = a z + b and exponent power, the transform at w is
     B(w) = integral over C of
            exp(c (2 Re(psi(z) conj(w)) - |z|^2 - |w|^2)) W(z)^power dm(z)
 
-with c = power * alpha / 2.  The exponent is maximised exactly at z =
-conj(a) w, where its linear term vanishes identically, so substituting
-z = conj(a) w + zeta gives
+with c = power * alpha / 2.  One log-space evaluator computes it about a
+centre v chosen per point.  With W's entire factor P e^q, z = v + zeta and
+d = conj(a) w - v, the exponent splits into the prefactor
 
-    B(w) = exp(c ((|a|^2 - 1) |w|^2 + 2 Re(b conj(w))))
-           * integral of W(conj(a) w + zeta)^power exp(-c |zeta|^2) dm(zeta).
+    L = c ((|a|^2 - 1) |w|^2 - |d|^2 + 2 Re(b conj(w))) + power Re q(v)
 
-All evaluation happens in this recentred form, and in log space: the
-shifted integral is a plain Gaussian integral whose integrand never sees
-the large cancelling exponents of the defining formula, so the transform
-is computable at any |w| without overflow.  Exponential symbol factors are
-split the same way: the value exp(power Re q(conj(a) w)) joins the log
-prefactor and only the increment q(v + zeta) - q(v) stays under the
-integral.
+and a Gaussian integral in zeta whose exponent holds only the increment
+power (q(v + zeta) - q(v)), the linear term 2 c Re(conj(d) zeta) and
+-c |zeta|^2; each level is summed by log-sum-exp.  At the recentred
+centre v = conj(a) w the exponent peaks and d = 0, so the integrand never
+sees the large cancelling exponents of the defining formula and B is
+computable at any |w|; profile batches use it.  The origin-centred v = 0
+puts the metric kink of the integral kind at the rule's centre, where the
+radial variable resolves it, at the price of a radius growing with |w|;
+``berezin_at`` takes it for single points whose recentred integrand has
+conical points.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentTail, NonConvergence
-from .quadrature import Tolerance, build_scheme, gaussian_integral
+from .quadrature import Tolerance, _leggauss, build_scheme, gaussian_integral
 from .symbols import SymbolPair, weight_at
 
 __all__ = [
@@ -50,7 +52,7 @@ __all__ = [
 # this fraction of c.
 _DIVERGENCE_MARGIN = 0.02
 
-# Per-level sample cap for batched profile evaluation.
+# Per-level sample cap for transform evaluation.
 _BATCH_BUDGET = 1 << 22
 
 _POLY = np.polynomial.polynomial
@@ -69,40 +71,102 @@ def _decay_and_growth(pair: SymbolPair, power: float) -> tuple[float, float]:
     return c, growth
 
 
-def _log_shifted_integrals(pair: SymbolPair, power: float, v: np.ndarray,
-                           scheme) -> np.ndarray:
-    """log of integral W(v + zeta)^power exp(-c |zeta|^2) dm over zeta.
+def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
+               lam: np.ndarray, scheme) -> np.ndarray:
+    """log of the zeta-integral about each centre v at one scheme level.
 
     The whole exponent, Gaussian included, is assembled per sample and
     summed by log-sum-exp, which keeps every intermediate finite.
     """
     weight = pair.weight_symbol
-    q0, q1, q2 = weight.expo
     coeffs = np.asarray(weight.poly)
+    q2 = weight.expo[2]
     zeta, bare = scheme.complex_nodes()
-    log_bare = np.log(bare)
-    gauss = -scheme.decay * np.abs(zeta) ** 2
+    centred = bool(np.any(v))
+    tilted = bool(np.any(lam))
+    # Centre-independent terms once per level, the radial ones once per
+    # radius: the Gaussian, and the metric factor when every centre is 0.
+    radial = -scheme.decay * scheme.radial_nodes ** 2
+    if pair.has_metric_factor and not centred:
+        radial -= power * np.log1p(scheme.radial_nodes)
+    # complex_nodes returns fresh arrays; reusing the weights' buffer keeps
+    # the level's peak memory at that of the samples.
+    shared = np.log(bare, out=bare)
+    shared += np.repeat(radial, scheme.angular_count)
+    if q2 != 0:
+        shared += power * np.real(q2 * zeta * zeta)
     out = np.empty(v.size, dtype=float)
-    chunk = max(1, _BATCH_BUDGET // max(zeta.size, 1))
+    chunk = max(1, _BATCH_BUDGET // zeta.size)
     for lo in range(0, v.size, chunk):
-        vs = v[lo:lo + chunk, None]
-        args = vs + zeta[None, :]
+        hi = lo + chunk
+        # All-zero centres sample at the nodes themselves, once for the chunk.
+        args = v[lo:hi, None] + zeta if centred else zeta[None, :]
         with np.errstate(divide="ignore"):
-            log_mag = power * np.log(np.abs(_POLY.polyval(args, coeffs)))
-        if pair.has_metric_factor:
-            log_mag = log_mag - power * np.log1p(np.abs(args))
-        if q1 != 0 or q2 != 0:
-            q_lin = q1 + 2.0 * q2 * vs
-            log_mag = log_mag + power * np.real(
-                zeta[None, :] * (q_lin + q2 * zeta[None, :]))
-        total = log_mag + gauss[None, :] + log_bare[None, :]
+            total = np.log(np.abs(_POLY.polyval(args, coeffs)))
+        if pair.has_metric_factor and centred:
+            total -= np.log1p(np.abs(args))
+        total *= power
+        total += shared
+        if tilted:
+            # Re(lambda zeta) in real arithmetic, cheaper than complex
+            lam_c = lam[lo:hi, None]
+            total = total + lam_c.real * zeta.real
+            total -= lam_c.imag * zeta.imag
         peak = np.max(total, axis=1)
         safe = np.where(np.isfinite(peak), peak, 0.0)
         sums = np.sum(np.exp(total - safe[:, None]), axis=1)
         with np.errstate(divide="ignore"):
-            out[lo:lo + chunk] = np.where(np.isfinite(peak),
-                                          safe + np.log(sums), -np.inf)
+            out[lo:hi] = np.where(np.isfinite(peak), safe + np.log(sums),
+                                  -np.inf)
     return out
+
+
+def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
+                   v: np.ndarray, rel_tol: float, tol: Tolerance,
+                   radial_count: int, angular_count: int) -> np.ndarray:
+    """log B at each point of ``w``, integrated about its centre in ``v``.
+
+    One quadrature scheme (sized for the worst point) is shared by all
+    points and refined until two levels agree within ``rel_tol`` in log
+    value everywhere.  Raises DivergentTail when the shifted integral
+    diverges and NonConvergence, carrying the last log values, when
+    refinement runs out.
+    """
+    c, growth = _decay_and_growth(pair, power)
+    weight = pair.weight_symbol
+    a, b = pair.psi.a, pair.psi.b
+    q0, q1, q2 = weight.expo
+    d = np.conj(a) * w - v
+    shift = 2.0 * c * np.conj(d)
+    tilt = power * (q1 + 2.0 * q2 * v)
+    linear = float(np.max(np.abs(shift) + np.abs(tilt), initial=0.0))
+    cap = int(math.ceil(power * weight.degree)) + 8
+    scheme = build_scheme(c, tol, growth, linear_bound=linear,
+                          poly_degree_cap=cap, radial_count=radial_count,
+                          angular_count=angular_count)
+    lam = shift + tilt
+    log_pref = (c * ((abs(a) ** 2 - 1.0) * np.abs(w) ** 2 - np.abs(d) ** 2
+                     + 2.0 * np.real(b * np.conj(w)))
+                + power * np.real(q0 + v * (q1 + q2 * v)))
+
+    prev = None
+    for level in range(tol.max_refinements + 1):
+        sch = scheme if level == 0 else scheme.refined(level)
+        if sch.radial_nodes.size * sch.angular_count > _BATCH_BUDGET:
+            raise NonConvergence(
+                "transform refinement exceeded the sample budget",
+                value=None if prev is None else prev + log_pref)
+        cur = _log_level(pair, power, v, lam, sch)
+        if prev is not None:
+            both = np.isfinite(cur) & np.isfinite(prev)
+            delta = float(np.max(np.abs(cur[both] - prev[both]),
+                                 initial=0.0))
+            if delta <= rel_tol and np.array_equal(np.isfinite(cur),
+                                                  np.isfinite(prev)):
+                return cur + log_pref
+        prev = cur
+    raise NonConvergence("transform refinement cap hit before log agreement",
+                         value=prev + log_pref)
 
 
 def berezin_log_profile(pair: SymbolPair, power: float, points,
@@ -112,55 +176,23 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
                         angular_count: int = 48) -> np.ndarray:
     """log B(w) at each point of ``points``, to ``rel_tol`` log-accuracy.
 
-    One quadrature scheme (sized for the worst point) is shared by the
-    whole batch and refined until two levels agree.  Raises DivergentTail
-    when the shifted integral diverges and NonConvergence when refinement
-    runs out.
+    Every point is integrated about its recentred centre conj(a) w, with
+    one quadrature scheme (sized for the worst point) shared by the whole
+    batch and refined until two levels agree.  Raises DivergentTail when
+    the shifted integral diverges and NonConvergence when refinement runs
+    out.
 
     The default tolerance is deliberately modest: for metric-weighted
-    pairs the shifted integrand has a conical point at zeta = -v, which
+    pairs the recentred integrand has a conical point at zeta = -v, which
     caps the tensor rule's convergence rate, and profile batches cannot
     afford the deep refinements that squeezing it further would need.
-    Single points go through :func:`berezin_at`, which evaluates in
-    origin-centred coordinates where that point is resolved exactly.
+    :func:`berezin_at` evaluates such single points about the origin
+    instead, where that point is resolved exactly.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    tol = tol or Tolerance()
-    c, growth = _decay_and_growth(pair, power)
-    weight = pair.weight_symbol
-    a, b = pair.psi.a, pair.psi.b
-    v = np.conj(a) * pts
-    q0, q1, q2 = weight.expo
-    if pts.size:
-        linear = power * float(np.max(np.abs(q1 + 2.0 * q2 * v)))
-    else:
-        linear = power * abs(q1)
-    cap = int(math.ceil(power * weight.degree)) + 8
-    scheme = build_scheme(c, tol, growth, linear_bound=linear,
-                          poly_degree_cap=cap, radial_count=radial_count,
-                          angular_count=angular_count)
-    log_pref = (c * ((abs(a) ** 2 - 1.0) * np.abs(pts) ** 2
-                     + 2.0 * np.real(b * np.conj(pts)))
-                + power * np.real(q0 + v * (q1 + q2 * v)))
-
-    prev = None
-    for level in range(tol.max_refinements + 1):
-        sch = scheme if level == 0 else scheme.refined(level)
-        if sch.radial_nodes.size * sch.angular_count > _BATCH_BUDGET:
-            raise NonConvergence(
-                "profile refinement exceeded the sample budget",
-                value=None if prev is None else prev + log_pref)
-        cur = _log_shifted_integrals(pair, power, v, sch)
-        if prev is not None:
-            both = np.isfinite(cur) & np.isfinite(prev)
-            delta = float(np.max(np.abs(cur[both] - prev[both]))) \
-                if np.any(both) else 0.0
-            if delta <= rel_tol and np.array_equal(np.isfinite(cur),
-                                                  np.isfinite(prev)):
-                return cur + log_pref
-        prev = cur
-    raise NonConvergence("profile refinement cap hit before log agreement",
-                         value=prev + log_pref)
+    return _log_transform(pair, power, pts, np.conj(pair.psi.a) * pts,
+                          rel_tol, tol or Tolerance(), radial_count,
+                          angular_count)
 
 
 def _shifted_integrand_smooth(pair: SymbolPair, power: float) -> bool:
@@ -178,67 +210,22 @@ def _shifted_integrand_smooth(pair: SymbolPair, power: float) -> bool:
     return abs(half - round(half)) < 1e-12
 
 
-def _log_direct_single(pair: SymbolPair, power: float, w: complex,
-                       tol: Tolerance) -> float:
-    """log B(w) by quadrature in origin-centred coordinates.
-
-    The integrand W(z)^power exp(2 c Re(a conj(w) z) - c |z|^2) is smooth
-    in polar coordinates about 0 (the metric kink sits at the origin,
-    where the radial variable resolves it), so refinement converges
-    spectrally; the price is a truncation radius and angular resolution
-    that grow with |w|, which is fine for one point at a time.
-    """
-    c, growth = _decay_and_growth(pair, power)
-    weight = pair.weight_symbol
-    a, b = pair.psi.a, pair.psi.b
-    lam = 2.0 * c * a * np.conj(w)
-    q0, q1, q2 = weight.expo
-    coeffs = np.asarray(weight.poly)
-    linear = float(abs(lam)) + power * abs(q1)
-    cap = int(math.ceil(power * weight.degree)) + 8
-    scheme = build_scheme(c, tol, growth, linear_bound=linear,
-                         poly_degree_cap=cap)
-    log_pref = c * (2.0 * np.real(b * np.conj(w)) - abs(w) ** 2)
-
-    def level_value(sch) -> float:
-        z, bare = sch.complex_nodes()
-        with np.errstate(divide="ignore"):
-            log_mag = power * np.log(np.abs(_POLY.polyval(z, coeffs)))
-        if pair.has_metric_factor:
-            log_mag = log_mag - power * np.log1p(np.abs(z))
-        if q1 != 0 or q2 != 0:
-            log_mag = log_mag + power * np.real(z * (q1 + q2 * z))
-        total = (log_mag + np.real(lam * z)
-                 - sch.decay * np.abs(z) ** 2 + np.log(bare))
-        peak = float(np.max(total))
-        if not np.isfinite(peak):
-            return -math.inf
-        return peak + math.log(float(np.sum(np.exp(total - peak))))
-
-    prev = None
-    for level in range(tol.max_refinements + 1):
-        sch = scheme if level == 0 else scheme.refined(level)
-        if sch.radial_nodes.size * sch.angular_count > _BATCH_BUDGET:
-            raise NonConvergence("single-point refinement exceeded the "
-                                 "sample budget", value=prev)
-        cur = level_value(sch)
-        if prev is not None and (cur == prev == -math.inf
-                                 or abs(cur - prev) <= tol.rel_tol):
-            return cur + log_pref
-        prev = cur
-    raise NonConvergence("single-point refinement cap hit",
-                         value=None if prev is None else prev + log_pref)
-
-
 def berezin_at(pair: SymbolPair, power: float, w: complex,
                tol: Tolerance | None = None) -> float:
-    """B(w) for a single point; +inf on overflow of the finite log value."""
+    """B(w) for a single point; +inf on overflow of the finite log value.
+
+    Recentred (through :func:`berezin_log_profile`) when the shifted
+    integrand is smooth, origin-centred on a 64 x 64 base rule otherwise;
+    either way to ``tol.rel_tol`` in log value.
+    """
     tol = tol or Tolerance()
     if _shifted_integrand_smooth(pair, power):
         logb = berezin_log_profile(pair, power, [w], rel_tol=tol.rel_tol,
                                    tol=tol)[0]
     else:
-        logb = _log_direct_single(pair, power, complex(w), tol)
+        logb = _log_transform(pair, power, np.array([w], dtype=complex),
+                              np.zeros(1, dtype=complex), tol.rel_tol, tol,
+                              64, 64)[0]
     if logb == -np.inf:
         return 0.0
     with np.errstate(over="ignore"):
@@ -350,7 +337,7 @@ def vanishes_at_infinity(profile: BerezinProfile, eps: float = 1e-4,
 def _segment_nodes(lo: float, hi: float, radial: int = 24,
                    angular: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Polar product nodes and area weights on the annulus lo < |w| < hi."""
-    x, gw = np.polynomial.legendre.leggauss(radial)
+    x, gw = _leggauss(radial)
     r = 0.5 * (hi - lo) * (x + 1.0) + lo
     wr = 0.5 * (hi - lo) * gw * r * (2.0 * np.pi / angular)
     phases = np.exp(2j * np.pi * np.arange(angular) / angular)

@@ -17,7 +17,8 @@ import numpy as np
 from .berezin import GridSpec, berezin_profile
 from .criteria import (Verdict, classify_berezin, consistency_report,
                        random_volterra_family)
-from .errors import ConfigError, DivergentTail, NonConvergence
+from .errors import (ConfigError, DegreeCap, DivergentTail, InvalidIntegrand,
+                     NonConvergence)
 from .fock_core import derivative_functional, fock_norm
 from .operator_rep import build_matrix, spectral_summary, toeplitz_crosscheck
 from .quadrature import Tolerance
@@ -38,6 +39,13 @@ def _number(node, where: str) -> float:
     value = float(node)
     if not math.isfinite(value):
         _fail(where, "expected a finite number")
+    return value
+
+
+def _positive(node, where: str) -> float:
+    value = _number(node, where)
+    if value <= 0:
+        _fail(where, "must be positive")
     return value
 
 
@@ -137,10 +145,7 @@ def _tolerance(node, where: str) -> Tolerance:
 
 
 def _alpha(data: dict) -> float:
-    alpha = _number(data.get("alpha", 1.0), "alpha")
-    if alpha <= 0:
-        _fail("alpha", "must be positive")
-    return alpha
+    return _positive(data.get("alpha", 1.0), "alpha")
 
 
 def _pair(data: dict) -> SymbolPair:
@@ -163,10 +168,14 @@ def _exponent(data: dict, key: str, default=None) -> float:
         if default is None:
             _fail(key, "required")
         return default
-    value = _number(data[key], key)
-    if value <= 0:
-        _fail(key, "must be positive")
-    return value
+    return _positive(data[key], key)
+
+
+def _orders(data: dict, default: list) -> tuple:
+    node = data.get("orders", default)
+    if not isinstance(node, list):
+        _fail("orders", "expected an array of numbers")
+    return tuple(_positive(t, f"orders[{i}]") for i, t in enumerate(node))
 
 
 def _check_schema(data: dict):
@@ -263,8 +272,7 @@ def _run_classify(data: dict):
     pair = _pair(data)
     p = _exponent(data, "p")
     q = _exponent(data, "q")
-    orders = tuple(_number(t, f"orders[{i}]")
-                   for i, t in enumerate(data.get("orders", [])))
+    orders = _orders(data, [])
     grid = _grid(data["grid"], "grid") if "grid" in data else None
     tol = _tolerance(data["tolerance"], "tolerance") \
         if "tolerance" in data else None
@@ -282,8 +290,7 @@ def _run_schatten(data: dict):
     _check_keys(data, "config", _PAIR_KEYS + ("size", "orders"))
     pair = _pair(data)
     size = _integer(data.get("size", 128), "size", 2)
-    orders = tuple(_number(t, f"orders[{i}]")
-                   for i, t in enumerate(data.get("orders", [1, 2, 3, 4])))
+    orders = _orders(data, [1, 2, 3, 4])
     summary = spectral_summary(build_matrix(pair, size), orders)
     payload = {
         "schema": SCHEMA, "command": "schatten", "size": size,
@@ -311,8 +318,7 @@ def _run_sweep(data: dict, seed_override=None):
     p = _exponent(data, "p", 2.0)
     q = _exponent(data, "q", 2.0)
     size = _integer(data.get("size", 128), "size", 2)
-    orders = tuple(_number(t, f"orders[{i}]")
-                   for i, t in enumerate(data.get("orders", [1, 2, 4])))
+    orders = _orders(data, [1, 2, 4])
     seed = None
     if "pairs" in data:
         if not isinstance(data["pairs"], list) or not data["pairs"]:
@@ -334,9 +340,12 @@ def _run_sweep(data: dict, seed_override=None):
                               "family.degree_max", 1)
         alpha = _number(node.get("alpha", 1.0), "family.alpha")
         floor = _number(node.get("lead_floor", 0.05), "family.lead_floor")
-        pairs = random_volterra_family(count, seed=seed,
-                                       degree_max=degree_max, alpha=alpha,
-                                       lead_floor=floor)
+        try:
+            pairs = random_volterra_family(count, seed=seed,
+                                           degree_max=degree_max,
+                                           alpha=alpha, lead_floor=floor)
+        except ValueError as exc:
+            _fail("family", str(exc))
         family = {"count": count, "seed": seed, "degree_max": degree_max,
                   "alpha": alpha, "lead_floor": floor}
     else:
@@ -523,10 +532,10 @@ def entrypoint(argv=None) -> int:
                        use_cache=not args.no_cache, seed=args.seed)
     try:
         return run(config)
-    except ConfigError as exc:
+    except (ConfigError, DegreeCap) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, DivergentTail) as exc:
+    except (NonConvergence, DivergentTail, InvalidIntegrand) as exc:
         print(f"computation did not settle: {exc}", file=sys.stderr)
         return 3
 

@@ -374,8 +374,11 @@ def random_volterra_family(count: int, seed: int = 1729,
 
     Coefficients are uniform on the unit disk; the leading one is redrawn
     until its modulus clears the floor, so the degree (and with it the
-    closed-form verdict) is numerically unambiguous.
+    closed-form verdict) is numerically unambiguous.  The floor must lie in
+    [0, 1), below the largest modulus a draw can have.
     """
+    if not 0.0 <= lead_floor < 1.0:
+        raise ValueError(f"lead_floor must lie in [0, 1), got {lead_floor}")
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):

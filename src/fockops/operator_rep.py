@@ -44,21 +44,31 @@ class TruncatedOperator:
     entries: np.ndarray
 
 
+def _weighted_power_series(pair: SymbolPair, size: int,
+                           rows: int) -> np.ndarray:
+    """cols[m, n] = m-th Taylor coefficient of psi^n times the weight symbol.
+
+    The weight symbol is g' for the integral kind and u for the weighted
+    composition kind; n runs below ``size`` and m below ``rows``.
+    """
+    a, b = pair.psi.a, pair.psi.b
+    weight = pair.weight_symbol
+    cols = np.empty((rows, size), dtype=complex)
+    power = np.array([1.0 + 0j])  # coefficients of (a z + b)^n
+    for n in range(size):
+        cols[:, n] = (Symbol(poly=power) * weight).series(rows)
+        power = _POLY.polymul(power, np.array([b, a]))
+    return cols
+
+
 def _monomial_image_coeffs(pair: SymbolPair, size: int) -> np.ndarray:
     """raw[m, n] = m-th Taylor coefficient of the image of z^n."""
-    a, b = pair.psi.a, pair.psi.b
+    if pair.kind == "weighted":
+        return _weighted_power_series(pair, size, size)
+    # antiderivative vanishing at 0: c_m = h_{m-1} / m
     raw = np.zeros((size, size), dtype=complex)
-    power = np.array([1.0 + 0j])  # coefficients of (a z + b)^n
-    factor = pair.weight_symbol if pair.kind == "volterra" else pair.symbol
-    for n in range(size):
-        image = Symbol(poly=power) * factor
-        if pair.kind == "volterra":
-            # antiderivative vanishing at 0: c_m = h_{m-1} / m
-            h = image.series(size - 1)
-            raw[1:, n] = h / np.arange(1, size)
-        else:
-            raw[:, n] = image.series(size)
-        power = _POLY.polymul(power, np.array([b, a]))
+    raw[1:] = (_weighted_power_series(pair, size, size - 1)
+               / np.arange(1, size)[:, None])
     return raw
 
 
@@ -169,15 +179,9 @@ def _derivative_frame_columns(pair: SymbolPair, size: int) -> np.ndarray:
     gp = pair.weight_symbol
     if not gp.is_polynomial:
         raise ValueError("the Gram cross-check needs a polynomial symbol")
-    a, b = pair.psi.a, pair.psi.b
-    rows = size + gp.degree
-    cols = np.zeros((rows, size), dtype=complex)
-    power = np.array([1.0 + 0j])
-    for n in range(size):
-        h = (Symbol(poly=power) * gp).series(rows)
-        cols[:, n] = h * math.exp(basis_log_norm(n, pair.alpha))
-        power = _POLY.polymul(power, np.array([b, a]))
-    return cols
+    scale = np.array([math.exp(basis_log_norm(n, pair.alpha))
+                      for n in range(size)])
+    return _weighted_power_series(pair, size, size + gp.degree) * scale
 
 
 def toeplitz_crosscheck(pair: SymbolPair, size: int) -> float:

@@ -14,7 +14,6 @@ __all__ = [
     "SymbolPair",
     "MAX_DEGREE",
     "PARSE_DEGREE_CAP",
-    "growth_bound",
     "weight_at",
 ]
 
@@ -208,17 +207,6 @@ class Symbol:
         out = np.zeros(length, dtype=complex)
         out[:full.size] = full
         return out
-
-
-def growth_bound(s: Symbol, power: float) -> float:
-    """Least mu >= 0 with |s(z)|^power <= poly(|z|) exp(mu |z|^2).
-
-    Polynomial symbols give 0; for an exponential factor the bound is read
-    off the modulus of the quadratic exponent coefficient.
-    """
-    if power <= 0:
-        raise ValueError("power must be positive")
-    return power * s.gaussian_growth
 
 
 @dataclass(frozen=True)

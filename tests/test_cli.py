@@ -5,7 +5,7 @@ import pytest
 
 from fockops import cli
 from fockops.criteria import Classification, ConsistencyReport, Verdict
-from fockops.errors import NonConvergence
+from fockops.errors import DegreeCap, InvalidIntegrand, NonConvergence
 from fockops.operator_rep import build_matrix, singular_values
 from fockops.symbols import Symbol, SymbolPair
 
@@ -138,6 +138,14 @@ class TestSweepCommand:
         assert payload["seed"] == 7
         assert payload["family"]["count"] == 2
 
+    @pytest.mark.parametrize("field", [{"lead_floor": 1.5}, {"alpha": -1.0}])
+    def test_bad_family_fields_exit_two(self, tmp_path, capsys, field):
+        data = {"schema": "v1",
+                "family": {"count": 2, "degree_max": 2, **field},
+                "p": 2.0, "q": 2.0, "size": 16, "orders": [4.0]}
+        assert run_cli(tmp_path, "sweep", data) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_disagreement_exits_four(self, tmp_path, monkeypatch, capsys):
         report = ConsistencyReport(
             comparisons=1, agreements=0,
@@ -212,6 +220,20 @@ class TestCache:
         assert "cache hit" not in capsys.readouterr().err
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("error,code", [(InvalidIntegrand, 3),
+                                            (DegreeCap, 2)])
+    def test_library_errors_map_to_exit_codes(self, tmp_path, monkeypatch,
+                                              capsys, error, code):
+        def explode(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "berezin_profile", explode)
+        data = dict(CONTRACTION, q=2.0)
+        assert run_cli(tmp_path, "berezin", data) == code
+        assert "boom" in capsys.readouterr().err
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("mangle", [
         lambda d: d.update(bogus=1),
@@ -223,6 +245,8 @@ class TestConfigValidation:
         lambda d: d.update(map={"b": 1.0}),
         lambda d: d.update(symbol={"exponent": [0.0, 0.0, 0.1, 0.0]}),
         lambda d: d.update(p=-2.0),
+        lambda d: d.update(orders=[0]),
+        lambda d: d.update(orders=[-1.0]),
     ])
     def test_bad_configs_exit_two(self, tmp_path, capsys, mangle):
         data = dict(VOLTERRA_Z, p=2.0, q=2.0,

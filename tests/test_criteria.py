@@ -200,6 +200,11 @@ class TestRandomFamily:
         rhs = random_volterra_family(4, seed=2)
         assert [p.symbol.poly for p in lhs] != [p.symbol.poly for p in rhs]
 
+    def test_unreachable_lead_floor_raises(self):
+        # draws have modulus below 1, so this floor would redraw forever
+        with pytest.raises(ValueError, match="lead_floor"):
+            random_volterra_family(1, lead_floor=1.0)
+
 
 class TestConsistencyReport:
     def test_mixed_family_agrees_end_to_end(self):
