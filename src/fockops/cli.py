@@ -1,19 +1,24 @@
-"""Config-driven batch front-end emitting JSON and CSV artifacts."""
+"""Config-driven batch front-end emitting JSON and CSV artifacts.
+
+Config fields are table entries ``name: (parser, default)``, the parser
+carrying type and range; ``_COMMANDS`` drives argparse, validation, dispatch.
+"""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .berezin import GridSpec, berezin_profile
 from .criteria import (Verdict, classify_berezin, consistency_report,
                        random_volterra_family)
@@ -26,161 +31,142 @@ from .symbols import PARSE_DEGREE_CAP, AffineMap, Symbol, SymbolPair
 
 SCHEMA = "v1"
 
-_COMMANDS = ("berezin", "norm", "classify", "schatten", "sweep", "crosscheck")
+# Largest truncation size: a `schatten` run at N = 2048 peaks near 360 MB
+# and takes about 8 s (2 vCPU, BLAS on one thread).
+_SIZE_CAP = 2048
+_FINITE = sys.float_info.max
 
 
 def _fail(where: str, message: str):
     raise ConfigError(f"{where}: {message}")
 
 
-def _number(node, where: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        _fail(where, "expected a number")
-    value = float(node)
-    if not math.isfinite(value):
-        _fail(where, "expected a finite number")
-    return value
+# Leaf parsers: parse(node, where) returns the value or raises ConfigError
+# naming the field path ``where``.
+
+def _num(lo=-math.inf, hi=math.inf, open_lo=False, integer=False):
+    """A finite float, or an int, in [lo, hi], or (lo, hi] if open_lo."""
+    kind = "an integer" if integer else "a finite number"
+    span = (("(" if open_lo or lo == -math.inf else "[") + f"{lo:g}, {hi:g}"
+            + (")" if hi == math.inf else "]"))
+
+    def parse(node, where):
+        if isinstance(node, bool) or not isinstance(
+                node, int if integer else (int, float)):
+            _fail(where, f"expected {kind}")
+        # NaN fails every comparison; ints too large for a float fail too
+        if (not max(lo, -_FINITE) <= node <= min(hi, _FINITE)
+                or (open_lo and node == lo)):
+            _fail(where, f"expected {kind} in {span}")
+        return node if integer else float(node)
+    return parse
 
 
-def _positive(node, where: str) -> float:
-    value = _number(node, where)
-    if value <= 0:
-        _fail(where, "must be positive")
-    return value
+def _choice(*options):
+    def parse(node, where):
+        if not isinstance(node, str) or node not in options:
+            _fail(where, f"expected one of {', '.join(map(repr, options))}")
+        return node
+    return parse
 
 
-def _integer(node, where: str, minimum: int = 0) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        _fail(where, "expected an integer")
-    if node < minimum:
-        _fail(where, f"expected an integer >= {minimum}")
-    return node
+def _array(item, min_len=0, max_len=math.inf):
+    """An array of ``min_len`` to ``max_len`` items, parsed into a tuple."""
+    def parse(node, where):
+        if not isinstance(node, list) or not min_len <= len(node) <= max_len:
+            _fail(where, f"expected an array of {min_len} to {max_len:g} "
+                         "items")
+        return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(node))
+    return parse
 
 
-def _complex_number(node, where: str) -> complex:
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(float(node), 0.0)
-    if isinstance(node, list) and len(node) == 2:
-        return complex(_number(node[0], where), _number(node[1], where))
-    _fail(where, "expected a number or a [re, im] pair")
+_REAL = _num()
+_POSITIVE = _num(0, open_lo=True)
+_RE_IM = _array(_REAL, 2, 2)
 
 
-def _check_keys(node, where: str, allowed, required=()):
-    if not isinstance(node, dict):
-        _fail(where, "expected an object")
-    unknown = sorted(set(node) - set(allowed))
-    if unknown:
-        _fail(where, f"unknown field(s): {', '.join(unknown)}")
-    missing = sorted(set(required) - set(node))
-    if missing:
-        _fail(where, f"missing field(s): {', '.join(missing)}")
+def _complex(node, where: str) -> complex:
+    """A number or a [re, im] pair."""
+    if isinstance(node, list):
+        return complex(*_RE_IM(node, where))
+    return complex(_REAL(node, where), 0.0)
 
 
-def _coefficients(node, where: str) -> tuple:
-    if not isinstance(node, list) or not node:
-        _fail(where, "expected a non-empty coefficient array, "
-                     "lowest degree first")
-    if len(node) - 1 > PARSE_DEGREE_CAP:
-        _fail(where, f"degree {len(node) - 1} above the cap "
-                     f"{PARSE_DEGREE_CAP}")
-    return tuple(_complex_number(c, f"{where}[{i}]")
-                 for i, c in enumerate(node))
+def _object(fields: dict, required=(), build=dict):
+    """An object of ``fields``, name -> (parser, default), passed to build.
+
+    An absent field takes its default, or is left out if that is None."""
+    def parse(node, where):
+        here = where or "config"
+        if not isinstance(node, dict):
+            _fail(here, "expected an object")
+        unknown = sorted(set(node) - set(fields))
+        if unknown:
+            _fail(here, f"unknown field(s): {', '.join(unknown)}")
+        missing = sorted(set(required) - set(node))
+        if missing:
+            _fail(here, f"missing field(s): {', '.join(missing)}")
+        values = {name: parser(node.get(name, default),
+                               f"{where}.{name}" if where else name)
+                  for name, (parser, default) in fields.items()
+                  if name in node or default is not None}
+        try:
+            return build(**values)
+        except ValueError as exc:
+            _fail(here, str(exc))
+    return parse
+
+
+_COEFFICIENTS = _array(_complex, 1, PARSE_DEGREE_CAP + 1)
+_EXPONENTIAL = _object(
+    {"prefactor": (_COEFFICIENTS, [1.0]),
+     "exponent": (_array(_complex, 1, 3), None)},
+    ("exponent",),
+    lambda prefactor, exponent: Symbol(
+        poly=prefactor, expo=exponent + (0j,) * (3 - len(exponent))))
 
 
 def _symbol(node, where: str) -> Symbol:
-    if isinstance(node, list):
-        return Symbol.polynomial(_coefficients(node, where))
+    """Coefficients, lowest degree first, or {prefactor, exponent}."""
     if isinstance(node, dict):
-        _check_keys(node, where, ("prefactor", "exponent"), ("exponent",))
-        expo = node["exponent"]
-        if not isinstance(expo, list) or not 1 <= len(expo) <= 3:
-            _fail(f"{where}.exponent", "expected 1 to 3 coefficients")
-        q = [_complex_number(c, f"{where}.exponent[{i}]")
-             for i, c in enumerate(expo)]
-        q += [0j] * (3 - len(q))
-        pre = _coefficients(node.get("prefactor", [1.0]),
-                            f"{where}.prefactor")
-        return Symbol(poly=pre, expo=tuple(q))
-    _fail(where, "expected a coefficient array or a "
-                 "{prefactor, exponent} object")
+        return _EXPONENTIAL(node, where)
+    return Symbol.polynomial(_COEFFICIENTS(node, where))
 
 
-def _affine_map(node, where: str) -> AffineMap:
-    _check_keys(node, where, ("a", "b"), ("a",))
-    return AffineMap(a=_complex_number(node["a"], f"{where}.a"),
-                     b=_complex_number(node.get("b", 0.0), f"{where}.b"))
+# Shared field tables.
+
+_SCHEMA = {"schema": (_choice(SCHEMA), None)}
+_MAP = _object({"a": (_complex, None), "b": (_complex, 0.0)}, ("a",),
+               AffineMap)
+_PAIR = {**_SCHEMA,
+         "kind": (_choice("volterra", "weighted"), None),
+         "symbol": (_symbol, None),
+         "map": (_MAP, None),
+         "alpha": (_POSITIVE, 1.0)}
+_GRID = _object({"w_max": (_POSITIVE, None),
+                 "radial_count": (_num(2, integer=True), None),
+                 "angular_count": (_num(4, integer=True), None),
+                 "r_min": (_num(0), None)}, build=GridSpec)
+_TOLERANCE = _object({"rel_tol": (_num(0, 1, open_lo=True), None),
+                      "abs_tol": (_num(0, 1, open_lo=True), None),
+                      "max_refinements": (_num(1, integer=True), None)},
+                     build=Tolerance)
+# Each pair redraws its leading coefficient ~1 / (1 - lead_floor^2) times.
+_FAMILY = _object({"count": (_num(1, integer=True), 50),
+                   "seed": (_num(0, integer=True), 1729),
+                   "degree_max": (_num(1, PARSE_DEGREE_CAP, integer=True), 5),
+                   "alpha": (_POSITIVE, 1.0),
+                   "lead_floor": (_num(0, 0.99), 0.05)})
+_ORDERS = _array(_POSITIVE)
 
 
-def _grid(node, where: str) -> GridSpec:
-    _check_keys(node, where,
-                ("w_max", "radial_count", "angular_count", "r_min"))
-    kwargs = {}
-    if "w_max" in node:
-        kwargs["w_max"] = _number(node["w_max"], f"{where}.w_max")
-    if "radial_count" in node:
-        kwargs["radial_count"] = _integer(node["radial_count"],
-                                          f"{where}.radial_count", 2)
-    if "angular_count" in node:
-        kwargs["angular_count"] = _integer(node["angular_count"],
-                                           f"{where}.angular_count", 4)
-    if "r_min" in node:
-        kwargs["r_min"] = _number(node["r_min"], f"{where}.r_min")
-    return GridSpec(**kwargs)
-
-
-def _tolerance(node, where: str) -> Tolerance:
-    _check_keys(node, where, ("rel_tol", "abs_tol", "max_refinements"))
-    kwargs = {}
-    if "rel_tol" in node:
-        kwargs["rel_tol"] = _number(node["rel_tol"], f"{where}.rel_tol")
-    if "abs_tol" in node:
-        kwargs["abs_tol"] = _number(node["abs_tol"], f"{where}.abs_tol")
-    if "max_refinements" in node:
-        kwargs["max_refinements"] = _integer(node["max_refinements"],
-                                             f"{where}.max_refinements", 1)
-    try:
-        return Tolerance(**kwargs)
-    except ValueError as exc:
-        _fail(where, str(exc))
-
-
-def _alpha(data: dict) -> float:
-    return _positive(data.get("alpha", 1.0), "alpha")
-
-
-def _pair(data: dict) -> SymbolPair:
-    kind = data.get("kind")
-    if kind not in ("volterra", "weighted"):
-        _fail("kind", "expected 'volterra' or 'weighted'")
-    symbol = _symbol(data.get("symbol"), "symbol")
-    alpha = _alpha(data)
-    if kind == "weighted":
-        if "map" not in data:
+def _pair(cfg: dict) -> SymbolPair:
+    psi = cfg.get("map")
+    if cfg["kind"] == "weighted":
+        if psi is None:
             _fail("map", "required for the weighted kind")
-        return SymbolPair.weighted(symbol, _affine_map(data["map"], "map"),
-                                   alpha=alpha)
-    psi = _affine_map(data["map"], "map") if "map" in data else None
-    return SymbolPair.volterra(symbol, psi, alpha=alpha)
-
-
-def _exponent(data: dict, key: str, default=None) -> float:
-    if key not in data:
-        if default is None:
-            _fail(key, "required")
-        return default
-    return _positive(data[key], key)
-
-
-def _orders(data: dict, default: list) -> tuple:
-    node = data.get("orders", default)
-    if not isinstance(node, list):
-        _fail("orders", "expected an array of numbers")
-    return tuple(_positive(t, f"orders[{i}]") for i, t in enumerate(node))
-
-
-def _check_schema(data: dict):
-    if "schema" in data and data["schema"] != SCHEMA:
-        _fail("schema", f"unsupported version {data['schema']!r}")
+        return SymbolPair.weighted(cfg["symbol"], psi, alpha=cfg["alpha"])
+    return SymbolPair.volterra(cfg["symbol"], psi, alpha=cfg["alpha"])
 
 
 def _jsonable(value):
@@ -190,19 +176,12 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _jsonable(value.tolist())
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if value == math.inf:
-            return "inf"
-        if value == -math.inf:
-            return "-inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # "nan", "inf" or "-inf"
     return value
 
 
@@ -217,34 +196,22 @@ def _csv_bytes(rows) -> bytes:
             + "\n").encode()
 
 
-# Command runners return (artifacts, exit_code); the primary artifact is
-# the first entry and lands at --out.
+# Command runners take the parsed config and the --seed override and
+# return (artifacts, exit_code); the primary artifact is the first entry
+# and lands at --out.
 
-_PAIR_KEYS = ("schema", "kind", "symbol", "map", "alpha")
-
-
-def _run_berezin(data: dict):
-    _check_keys(data, "config",
-                _PAIR_KEYS + ("power", "q", "grid", "tolerance"))
-    pair = _pair(data)
-    power = _exponent(data, "power", _exponent(data, "q", math.nan))
-    if math.isnan(power):
+def _run_berezin(cfg: dict, seed):
+    power = cfg.get("power", cfg.get("q"))
+    if power is None:
         _fail("power", "required (or give q)")
-    grid = _grid(data["grid"], "grid") if "grid" in data else None
-    tol = _tolerance(data["tolerance"], "tolerance") \
-        if "tolerance" in data else None
-    profile = berezin_profile(pair, power, grid=grid, tol=tol)
+    profile = berezin_profile(_pair(cfg), power, grid=cfg.get("grid"),
+                              tol=cfg.get("tolerance"))
     return {"profile.csv": _csv_bytes(profile.csv_rows())}, 0
 
 
-def _run_norm(data: dict):
-    _check_keys(data, "config", ("schema", "symbol", "p", "alpha",
-                                 "tolerance"))
-    symbol = _symbol(data.get("symbol"), "symbol")
-    p = _exponent(data, "p")
-    alpha = _alpha(data)
-    tol = _tolerance(data["tolerance"], "tolerance") \
-        if "tolerance" in data else None
+def _run_norm(cfg: dict, seed):
+    symbol, p, alpha = cfg["symbol"], cfg["p"], cfg["alpha"]
+    tol = cfg.get("tolerance")
     try:
         norm = fock_norm(symbol, p, alpha, tol=tol)
     except DivergentTail:
@@ -266,18 +233,11 @@ def _classification_payload(cls) -> dict:
             "source": cls.source}
 
 
-def _run_classify(data: dict):
-    _check_keys(data, "config",
-                _PAIR_KEYS + ("p", "q", "grid", "tolerance", "orders"))
-    pair = _pair(data)
-    p = _exponent(data, "p")
-    q = _exponent(data, "q")
-    orders = _orders(data, [])
-    grid = _grid(data["grid"], "grid") if "grid" in data else None
-    tol = _tolerance(data["tolerance"], "tolerance") \
-        if "tolerance" in data else None
-    cls = classify_berezin(pair, p, q, grid=grid, tol=tol,
-                           schatten_orders=orders)
+def _run_classify(cfg: dict, seed):
+    pair, p, q = _pair(cfg), cfg["p"], cfg["q"]
+    cls = classify_berezin(pair, p, q, grid=cfg.get("grid"),
+                           tol=cfg.get("tolerance"),
+                           schatten_orders=cfg["orders"])
     payload = {"schema": SCHEMA, "command": "classify", "p": p, "q": q,
                "alpha": pair.alpha, **_classification_payload(cls),
                "evidence": cls.evidence}
@@ -286,12 +246,9 @@ def _run_classify(data: dict):
     return {"result.json": _dump_json(payload)}, code
 
 
-def _run_schatten(data: dict):
-    _check_keys(data, "config", _PAIR_KEYS + ("size", "orders"))
-    pair = _pair(data)
-    size = _integer(data.get("size", 128), "size", 2)
-    orders = _orders(data, [1, 2, 3, 4])
-    summary = spectral_summary(build_matrix(pair, size), orders)
+def _run_schatten(cfg: dict, seed):
+    pair, size = _pair(cfg), cfg["size"]
+    summary = spectral_summary(build_matrix(pair, size), cfg["orders"])
     payload = {
         "schema": SCHEMA, "command": "schatten", "size": size,
         "alpha": pair.alpha,
@@ -311,45 +268,16 @@ def _run_schatten(data: dict):
             "singular.csv": _csv_bytes(singular)}, 0
 
 
-def _run_sweep(data: dict, seed_override=None):
-    _check_keys(data, "config",
-                ("schema", "family", "pairs", "p", "q", "size", "orders"),
-                ())
-    p = _exponent(data, "p", 2.0)
-    q = _exponent(data, "q", 2.0)
-    size = _integer(data.get("size", 128), "size", 2)
-    orders = _orders(data, [1, 2, 4])
-    seed = None
-    if "pairs" in data:
-        if not isinstance(data["pairs"], list) or not data["pairs"]:
-            _fail("pairs", "expected a non-empty array of pair objects")
-        pairs = []
-        for i, node in enumerate(data["pairs"]):
-            _check_keys(node, f"pairs[{i}]", _PAIR_KEYS, ("kind", "symbol"))
-            pairs.append(_pair(node))
-        family = {"pairs": len(pairs)}
-    elif "family" in data:
-        node = data["family"]
-        _check_keys(node, "family",
-                    ("count", "seed", "degree_max", "alpha", "lead_floor"))
-        count = _integer(node.get("count", 50), "family.count", 1)
-        seed = _integer(node.get("seed", 1729), "family.seed")
-        if seed_override is not None:
-            seed = seed_override
-        degree_max = _integer(node.get("degree_max", 5),
-                              "family.degree_max", 1)
-        alpha = _number(node.get("alpha", 1.0), "family.alpha")
-        floor = _number(node.get("lead_floor", 0.05), "family.lead_floor")
-        try:
-            pairs = random_volterra_family(count, seed=seed,
-                                           degree_max=degree_max,
-                                           alpha=alpha, lead_floor=floor)
-        except ValueError as exc:
-            _fail("family", str(exc))
-        family = {"count": count, "seed": seed, "degree_max": degree_max,
-                  "alpha": alpha, "lead_floor": floor}
+def _run_sweep(cfg: dict, seed):
+    if ("pairs" in cfg) == ("family" in cfg):
+        _fail("config", "needs exactly one of 'family' or 'pairs'")
+    if "pairs" in cfg:
+        pairs, family, seed = cfg["pairs"], {"pairs": len(cfg["pairs"])}, None
     else:
-        _fail("config", "needs either 'family' or 'pairs'")
+        seed = cfg["family"]["seed"] if seed is None else seed
+        family = dict(cfg["family"], seed=seed)
+        pairs = random_volterra_family(**family)
+    p, q, size, orders = cfg["p"], cfg["q"], cfg["size"], cfg["orders"]
     report = consistency_report(pairs, p, q, size=size,
                                 schatten_orders=orders)
     entries = []
@@ -363,13 +291,11 @@ def _run_sweep(data: dict, seed_override=None):
         entries.append(row)
     payload = {
         "schema": SCHEMA, "command": "sweep", "p": p, "q": q, "size": size,
-        "orders": list(orders), "family": family, "seed": seed,
+        "orders": orders, "family": family, "seed": seed,
         "comparisons": report.comparisons, "agreements": report.agreements,
-        "mismatches": [[i, what, lhs, rhs]
-                       for i, what, lhs, rhs in report.mismatches],
+        "mismatches": report.mismatches,
         "lattice_conflicts": report.lattice_conflicts,
-        "spectral_disagreements": [[i, t, lhs, rhs] for i, t, lhs, rhs
-                                   in report.spectral_disagreements],
+        "spectral_disagreements": report.spectral_disagreements,
         "op_norm_ratios": report.op_norm_ratios,
         "hs_ratios": report.hs_ratios,
         "entries": entries,
@@ -377,10 +303,8 @@ def _run_sweep(data: dict, seed_override=None):
     return {"result.json": _dump_json(payload)}, (0 if report.ok else 4)
 
 
-def _run_crosscheck(data: dict):
-    _check_keys(data, "config", _PAIR_KEYS + ("size",))
-    pair = _pair(data)
-    size = _integer(data.get("size", 32), "size", 4)
+def _run_crosscheck(cfg: dict, seed):
+    pair, size = _pair(cfg), cfg["size"]
     try:
         deviation = toeplitz_crosscheck(pair, size)
     except ValueError as exc:
@@ -390,32 +314,56 @@ def _run_crosscheck(data: dict):
     return {"result.json": _dump_json(payload)}, 0
 
 
-_RUNNERS = {
-    "berezin": _run_berezin,
-    "norm": _run_norm,
-    "classify": _run_classify,
-    "schatten": _run_schatten,
-    "crosscheck": _run_crosscheck,
+_TRANSFORM = {"grid": (_GRID, None), "tolerance": (_TOLERANCE, None)}
+_PAIR_REQUIRED = ("kind", "symbol")
+
+# name -> (runner, help, fields, required fields)
+_COMMANDS = {
+    "berezin": (_run_berezin,
+                "evaluate the transform on a ring grid, emit CSV",
+                {**_PAIR, "power": (_POSITIVE, None), "q": (_POSITIVE, None),
+                 **_TRANSFORM}, _PAIR_REQUIRED),
+    "norm": (_run_norm,
+             "space norm and derivative functional of one symbol",
+             {**_SCHEMA, "symbol": _PAIR["symbol"], "p": (_POSITIVE, None),
+              "alpha": _PAIR["alpha"], "tolerance": _TRANSFORM["tolerance"]},
+             ("symbol", "p")),
+    "classify": (_run_classify,
+                 "boundedness/compactness verdicts from the transform",
+                 {**_PAIR, "p": (_POSITIVE, None), "q": (_POSITIVE, None),
+                  **_TRANSFORM, "orders": (_ORDERS, [])},
+                 _PAIR_REQUIRED + ("p", "q")),
+    "schatten": (_run_schatten, "truncated-matrix spectral summary",
+                 {**_PAIR, "size": (_num(2, _SIZE_CAP, integer=True), 128),
+                  "orders": (_ORDERS, [1, 2, 3, 4])}, _PAIR_REQUIRED),
+    "sweep": (_run_sweep, "consistency report over a symbol family",
+              {**_SCHEMA, "family": (_FAMILY, None),
+               "pairs": (_array(_object(_PAIR, _PAIR_REQUIRED,
+                                        lambda **cfg: _pair(cfg)), 1), None),
+               "p": (_POSITIVE, 2.0), "q": (_POSITIVE, 2.0),
+               "size": (_num(2, _SIZE_CAP, integer=True), 128),
+               "orders": (_ORDERS, [1, 2, 4])}, ()),
+    "crosscheck": (_run_crosscheck, "two-route Gram matrix deviation",
+                   {**_PAIR,
+                    "size": (_num(4, _SIZE_CAP, integer=True), 32)},
+                   _PAIR_REQUIRED),
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, validated config, io options."""
-
-    command: str
-    data: dict
-    out: Path | None = None
-    cache_dir: Path | None = None
-    use_cache: bool = True
-    seed: int | None = None
+@functools.lru_cache(maxsize=1)
+def _code_fingerprint() -> str:
+    """Hash of the package version and the bytes of its sources."""
+    digest = hashlib.sha256(__version__.encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
-def _cache_key(config: RunConfig) -> str:
-    payload = {"schema": SCHEMA, "command": config.command,
-               "config": config.data}
-    if config.seed is not None:
-        payload["seed"] = config.seed
+def _cache_key(command: str, data, seed) -> str:
+    payload = {"schema": SCHEMA, "command": command, "config": data,
+               "code": _code_fingerprint()}
+    if seed is not None:
+        payload["seed"] = seed
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -433,58 +381,55 @@ def _atomic_write(path: Path, blob: bytes):
         raise
 
 
-def _cache_load(config: RunConfig, key: str):
-    meta_path = config.cache_dir / f"{key}.meta.json"
+def _cache_load(cache: Path, key: str):
     try:
-        meta = json.loads(meta_path.read_bytes())
-        artifacts = {}
-        for name in meta["artifacts"]:
-            artifacts[name] = (config.cache_dir / f"{key}.{name}").read_bytes()
+        meta = json.loads((cache / f"{key}.meta.json").read_bytes())
+        artifacts = {name: (cache / f"{key}.{name}").read_bytes()
+                     for name in meta["artifacts"]}
         return artifacts, int(meta["exit"])
     except (OSError, KeyError, ValueError):
         return None
 
 
-def _cache_store(config: RunConfig, key: str, artifacts: dict, code: int):
+def _cache_store(cache: Path, key: str, artifacts: dict, code: int):
     for name, blob in artifacts.items():
-        _atomic_write(config.cache_dir / f"{key}.{name}", blob)
+        _atomic_write(cache / f"{key}.{name}", blob)
     meta = {"artifacts": sorted(artifacts), "exit": code}
-    _atomic_write(config.cache_dir / f"{key}.meta.json", _dump_json(meta))
+    _atomic_write(cache / f"{key}.meta.json", _dump_json(meta))
 
 
-def _emit(config: RunConfig, artifacts: dict):
-    names = list(artifacts)
-    primary = names[0]
-    if config.out is None:
+def _emit(out: Path | None, artifacts: dict):
+    primary, *secondary = artifacts
+    if out is None:
         sys.stdout.write(artifacts[primary].decode())
         return
-    _atomic_write(config.out, artifacts[primary])
-    for name in names[1:]:
+    _atomic_write(out, artifacts[primary])
+    for name in secondary:
         # secondary artifacts land next to the primary one
-        side = config.out.with_name(config.out.stem + "." + name)
-        _atomic_write(side, artifacts[name])
+        _atomic_write(out.with_name(out.stem + "." + name), artifacts[name])
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command, honouring the artifact cache."""
-    if config.command not in _COMMANDS:
-        raise ConfigError(f"unknown command {config.command!r}")
-    _check_schema(config.data)
-    key = _cache_key(config)
-    if config.use_cache and config.cache_dir is not None:
-        cached = _cache_load(config, key)
-        if cached is not None:
-            artifacts, code = cached
-            print(f"cache hit {key[:16]}", file=sys.stderr)
-            _emit(config, artifacts)
-            return code
-    if config.command == "sweep":
-        artifacts, code = _run_sweep(config.data, seed_override=config.seed)
+def run(command: str, data, out: Path | None = None,
+        cache: Path | None = None, seed: int | None = None) -> int:
+    """Validate ``data`` against the command's fields and execute it.
+
+    Artifacts are replayed from, or stored in, the ``cache`` directory under
+    a hash of the command, config, seed and code; failed runs are not stored.
+    """
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    runner, _, fields, required = _COMMANDS[command]
+    cfg = _object(fields, required)(data, "")
+    key = _cache_key(command, data, seed)
+    cached = _cache_load(cache, key) if cache is not None else None
+    if cached is not None:
+        print(f"cache hit {key[:16]}", file=sys.stderr)
+        artifacts, code = cached
     else:
-        artifacts, code = _RUNNERS[config.command](config.data)
-    if config.use_cache and config.cache_dir is not None:
-        _cache_store(config, key, artifacts, code)
-    _emit(config, artifacts)
+        artifacts, code = runner(cfg, seed)
+        if cache is not None:
+            _cache_store(cache, key, artifacts, code)
+    _emit(out, artifacts)
     return code
 
 
@@ -494,16 +439,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Transform-based classification of integral-type and "
                     "weighted composition operators on Fock spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "berezin": "evaluate the transform on a ring grid, emit CSV",
-        "norm": "space norm and derivative functional of one symbol",
-        "classify": "boundedness/compactness verdicts from the transform",
-        "schatten": "truncated-matrix spectral summary",
-        "sweep": "consistency report over a symbol family",
-        "crosscheck": "two-route Gram matrix deviation",
-    }
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text, _, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, type=Path,
                          help="JSON config file")
         cmd.add_argument("--out", type=Path, default=None,
@@ -527,11 +464,10 @@ def entrypoint(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: not valid JSON ({exc})", file=sys.stderr)
         return 2
-    config = RunConfig(command=args.command, data=raw, out=args.out,
-                       cache_dir=args.cache,
-                       use_cache=not args.no_cache, seed=args.seed)
     try:
-        return run(config)
+        return run(args.command, raw, out=args.out,
+                   cache=None if args.no_cache else args.cache,
+                   seed=args.seed)
     except (ConfigError, DegreeCap) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -129,7 +129,12 @@ def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec,
                               norm_estimate=0.0, essential_norm_estimate=0.0,
                               evidence=ev)
 
-    _, r3, v3 = _ring_triple(profile, w_ref)
+    idx, r3, v3 = _ring_triple(profile, w_ref)
+    if len(set(idx)) < 3:
+        ev["note"] = ("grid too coarse: w_ref/2, w_ref and 2 w_ref share a "
+                      f"nearest ring (rings {idx})")
+        return Classification(bounded=Verdict.INCONCLUSIVE,
+                              compact=Verdict.INCONCLUSIVE, evidence=ev)
     g21 = v3[1] / max(v3[0], 1e-300)
     g32 = v3[2] / max(v3[1], 1e-300)
     ev.update(growth21=g21, growth32=g32)

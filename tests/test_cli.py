@@ -138,13 +138,22 @@ class TestSweepCommand:
         assert payload["seed"] == 7
         assert payload["family"]["count"] == 2
 
-    @pytest.mark.parametrize("field", [{"lead_floor": 1.5}, {"alpha": -1.0}])
+    @pytest.mark.parametrize("field", [{"lead_floor": 1.5}, {"alpha": -1.0},
+                                       {"degree_max": 200},
+                                       {"lead_floor": 0.999999},
+                                       {"lead_floor": -0.1}])
     def test_bad_family_fields_exit_two(self, tmp_path, capsys, field):
         data = {"schema": "v1",
                 "family": {"count": 2, "degree_max": 2, **field},
                 "p": 2.0, "q": 2.0, "size": 16, "orders": [4.0]}
         assert run_cli(tmp_path, "sweep", data) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_pairs_and_family_together_exit_two(self, tmp_path, capsys):
+        data = {"schema": "v1", "pairs": [dict(VOLTERRA_Z)],
+                "family": {"count": 2}, "p": 2.0, "q": 2.0}
+        assert run_cli(tmp_path, "sweep", data) == 2
+        assert "config error: config:" in capsys.readouterr().err
 
     def test_disagreement_exits_four(self, tmp_path, monkeypatch, capsys):
         report = ConsistencyReport(
@@ -203,6 +212,34 @@ class TestCache:
         assert cli.entrypoint(argv + ["--no-cache"]) == 0
         assert "cache hit" not in capsys.readouterr().err
 
+    def test_code_change_misses_the_cache(self, tmp_path, monkeypatch,
+                                          capsys):
+        config = write_config(tmp_path, self.berezin_config())
+        argv = ["berezin", "--config", str(config), "--cache",
+                str(tmp_path / "cache")]
+        assert cli.entrypoint(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
+        assert cli.entrypoint(argv) == 0
+        assert "cache hit" not in capsys.readouterr().err
+        assert cli.entrypoint(argv) == 0
+        assert "cache hit" in capsys.readouterr().err
+
+    def test_fingerprint_follows_version_and_sources(self, tmp_path,
+                                                     monkeypatch):
+        before = cli._code_fingerprint()
+        (tmp_path / "cli.py").write_text("# other sources\n")
+        try:
+            for name, value in (("__version__", "0.0.0-other"),
+                                ("__file__", str(tmp_path / "cli.py"))):
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, name, value)
+                    cli._code_fingerprint.cache_clear()
+                    assert cli._code_fingerprint() != before
+        finally:
+            cli._code_fingerprint.cache_clear()
+        assert cli._code_fingerprint() == before
+
     def test_failed_runs_are_not_cached(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise NonConvergence("stuck")
@@ -247,13 +284,39 @@ class TestConfigValidation:
         lambda d: d.update(p=-2.0),
         lambda d: d.update(orders=[0]),
         lambda d: d.update(orders=[-1.0]),
+        lambda d: d.update(grid={"w_max": -3.0}),
+        lambda d: d.update(grid={"w_max": 0.0}),
+        lambda d: d.update(grid={"r_min": -0.5}),
     ])
     def test_bad_configs_exit_two(self, tmp_path, capsys, mangle):
         data = dict(VOLTERRA_Z, p=2.0, q=2.0,
                     map={"a": 1.0, "b": 0.0})
         mangle(data)
         assert run_cli(tmp_path, "classify", data) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,size", [
+        ("schatten", 1), ("schatten", 2049), ("sweep", 1), ("sweep", 100000),
+        ("crosscheck", 3), ("crosscheck", 2049)])
+    def test_size_out_of_range_exits_two(self, tmp_path, capsys, command,
+                                         size):
+        data = dict(VOLTERRA_Z, size=size)
+        if command == "sweep":
+            data = {"schema": "v1", "pairs": [dict(VOLTERRA_Z)], "size": size}
+        assert run_cli(tmp_path, command, data) == 2
+        assert "config error: size:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [{"radial_count": 2},
+                                      {"radial_count": 5},
+                                      {"w_max": 0.1}])
+    def test_too_coarse_a_grid_exits_three(self, tmp_path, capsys, grid):
+        data = dict(VOLTERRA_Z, p=2.0, q=2.0, grid=grid)
+        assert run_cli(tmp_path, "classify", data) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["bounded"] == "inconclusive"
+        assert "Traceback" not in captured.err
 
     def test_unreadable_config_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

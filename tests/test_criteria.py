@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockops.berezin import GridSpec
 from fockops.criteria import (
     Classification,
     Verdict,
@@ -70,6 +71,17 @@ class TestClassifySupremum:
         cls = classify_berezin(SymbolPair.volterra(Z2), 2.0, 4.0)
         assert cls.bounded is Verdict.YES
         assert cls.compact is Verdict.NO
+
+    @pytest.mark.parametrize("grid", [GridSpec(radial_count=3),
+                                      GridSpec(radial_count=5),
+                                      GridSpec(w_max=0.1)])
+    def test_too_coarse_a_grid_is_inconclusive(self, grid):
+        # the three reference radii share a nearest ring, so there is no
+        # growth ratio to read and no limit to fit
+        cls = classify_berezin(SymbolPair.volterra(Z), 2.0, 2.0, grid=grid)
+        assert cls.bounded is Verdict.INCONCLUSIVE
+        assert cls.compact is Verdict.INCONCLUSIVE
+        assert "too coarse" in cls.evidence["note"]
 
     def test_evidence_records_the_ring_data(self):
         cls = classify_berezin(SymbolPair.volterra(Z), 2.0, 2.0)
