@@ -22,6 +22,16 @@ puts the metric kink of the integral kind at the rule's centre, where the
 radial variable resolves it, at the price of a radius growing with |w|;
 ``berezin_at`` takes it for single points whose recentred integrand has
 conical points.
+
+A batch shares one quadrature scheme, sized for its worst point, and
+refines it by doubling both node counts.  Each point stops on its own:
+once its log value is finite at its last two levels and they agree
+within the relative tolerance, or is finite at neither, it keeps that
+level's value and later levels evaluate only the points still active.
+Two constants bound the work.  ``_BATCH_BUDGET`` caps the samples of one
+level; a level beyond it ends refinement with NonConvergence.
+``_CHUNK`` is the number of samples built at once, so the temporaries of
+a level stay cache-sized however many points or samples it has.
 """
 
 from __future__ import annotations
@@ -52,8 +62,13 @@ __all__ = [
 # this fraction of c.
 _DIVERGENCE_MARGIN = 0.02
 
-# Per-level sample cap for transform evaluation.
+# Per-level sample cap for transform refinement: a level with more
+# samples than this raises NonConvergence.
 _BATCH_BUDGET = 1 << 22
+
+# Samples ``_log_level`` builds at once; sized to keep a chunk's
+# temporaries (a few arrays of this many floats) in cache.
+_CHUNK = 1 << 14
 
 _POLY = np.polynomial.polynomial
 
@@ -76,7 +91,9 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
     """log of the zeta-integral about each centre v at one scheme level.
 
     The whole exponent, Gaussian included, is assembled per sample and
-    summed by log-sum-exp, which keeps every intermediate finite.
+    summed by log-sum-exp, which keeps every intermediate finite.  Points
+    are processed ``max(1, _CHUNK // samples)`` at a time, so the
+    temporaries stay cache-sized whatever the level.
     """
     weight = pair.weight_symbol
     coeffs = np.asarray(weight.poly)
@@ -96,28 +113,37 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
     if q2 != 0:
         shared += power * np.real(q2 * zeta * zeta)
     out = np.empty(v.size, dtype=float)
-    chunk = max(1, _BATCH_BUDGET // zeta.size)
-    for lo in range(0, v.size, chunk):
-        hi = lo + chunk
-        # All-zero centres sample at the nodes themselves, once for the chunk.
-        args = v[lo:hi, None] + zeta if centred else zeta[None, :]
-        with np.errstate(divide="ignore"):
-            total = np.log(np.abs(_POLY.polyval(args, coeffs)))
-        if pair.has_metric_factor and centred:
-            total -= np.log1p(np.abs(args))
-        total *= power
-        total += shared
-        if tilted:
-            # Re(lambda zeta) in real arithmetic, cheaper than complex
-            lam_c = lam[lo:hi, None]
-            total = total + lam_c.real * zeta.real
-            total -= lam_c.imag * zeta.imag
-        peak = np.max(total, axis=1)
-        safe = np.where(np.isfinite(peak), peak, 0.0)
-        sums = np.sum(np.exp(total - safe[:, None]), axis=1)
-        with np.errstate(divide="ignore"):
-            out[lo:hi] = np.where(np.isfinite(peak), safe + np.log(sums),
-                                  -np.inf)
+    # Untilted, uncentred points share one row of samples and one value.
+    chunk = (max(1, _CHUNK // zeta.size) if centred or tilted
+             else max(1, v.size))
+    with np.errstate(divide="ignore"):
+        if not centred:
+            # All-zero centres sample P at the nodes themselves, so its
+            # terms join the shared ones once per level.
+            log_p = np.log(np.abs(_POLY.polyval(zeta, coeffs)))
+            log_p *= power
+            shared += log_p
+        for lo in range(0, v.size, chunk):
+            hi = lo + chunk
+            if centred:
+                args = v[lo:hi, None] + zeta
+                total = np.log(np.abs(_POLY.polyval(args, coeffs)))
+                if pair.has_metric_factor:
+                    total -= np.log1p(np.abs(args))
+                total *= power
+                total += shared
+            else:
+                total = shared[None, :]
+            if tilted:
+                # Re(lambda zeta) in real arithmetic, cheaper than complex
+                lam_c = lam[lo:hi, None]
+                total = total + lam_c.real * zeta.real
+                total -= lam_c.imag * zeta.imag
+            peak = total.max(axis=1)
+            finite = np.isfinite(peak)
+            safe = np.where(finite, peak, 0.0)
+            sums = np.exp(total - safe[:, None]).sum(axis=1)
+            out[lo:hi] = np.where(finite, safe + np.log(sums), -np.inf)
     return out
 
 
@@ -126,11 +152,14 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
                    radial_count: int, angular_count: int) -> np.ndarray:
     """log B at each point of ``w``, integrated about its centre in ``v``.
 
-    One quadrature scheme (sized for the worst point) is shared by all
-    points and refined until two levels agree within ``rel_tol`` in log
-    value everywhere.  Raises DivergentTail when the shifted integral
-    diverges and NonConvergence, carrying the last log values, when
-    refinement runs out.
+    One quadrature scheme, sized for the worst point, serves every point;
+    refinement doubles it level by level.  From level 1 on only the points
+    still active are evaluated.  A point stops, keeping that level's value,
+    once its log value is finite at both of its last two levels and they
+    differ by at most ``rel_tol``, or is finite at neither.  Raises
+    DivergentTail when the shifted integral diverges, and NonConvergence,
+    carrying the latest log value of every point, when a level would pass
+    ``_BATCH_BUDGET`` samples or ``tol.max_refinements`` runs out.
     """
     c, growth = _decay_and_growth(pair, power)
     weight = pair.weight_symbol
@@ -149,24 +178,30 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
                      + 2.0 * np.real(b * np.conj(w)))
                 + power * np.real(q0 + v * (q1 + q2 * v)))
 
-    prev = None
+    logs = None
+    active = np.arange(w.size)
     for level in range(tol.max_refinements + 1):
         sch = scheme if level == 0 else scheme.refined(level)
         if sch.radial_nodes.size * sch.angular_count > _BATCH_BUDGET:
             raise NonConvergence(
                 "transform refinement exceeded the sample budget",
-                value=None if prev is None else prev + log_pref)
-        cur = _log_level(pair, power, v, lam, sch)
-        if prev is not None:
-            both = np.isfinite(cur) & np.isfinite(prev)
-            delta = float(np.max(np.abs(cur[both] - prev[both]),
-                                 initial=0.0))
-            if delta <= rel_tol and np.array_equal(np.isfinite(cur),
-                                                  np.isfinite(prev)):
-                return cur + log_pref
-        prev = cur
+                value=None if logs is None else logs + log_pref)
+        cur = _log_level(pair, power, v[active], lam[active], sch)
+        if logs is None:
+            logs = cur
+            continue
+        prev = logs[active]
+        finite = np.isfinite(cur)
+        with np.errstate(invalid="ignore"):
+            done = np.where(finite & np.isfinite(prev),
+                            np.abs(cur - prev) <= rel_tol,
+                            finite == np.isfinite(prev))
+        logs[active] = cur
+        active = active[~done]
+        if not active.size:
+            return logs + log_pref
     raise NonConvergence("transform refinement cap hit before log agreement",
-                         value=prev + log_pref)
+                         value=logs + log_pref)
 
 
 def berezin_log_profile(pair: SymbolPair, power: float, points,
@@ -178,9 +213,11 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
 
     Every point is integrated about its recentred centre conj(a) w, with
     one quadrature scheme (sized for the worst point) shared by the whole
-    batch and refined until two levels agree.  Raises DivergentTail when
-    the shifted integral diverges and NonConvergence when refinement runs
-    out.
+    batch.  Each point is refined until its own last two levels agree
+    within ``rel_tol`` and then keeps that value, so only the points that
+    need a deeper level pay for it.  Raises DivergentTail when the shifted
+    integral diverges and NonConvergence, carrying the latest log value of
+    every point, when refinement runs out.
 
     The default tolerance is deliberately modest: for metric-weighted
     pairs the recentred integrand has a conical point at zeta = -v, which

@@ -143,16 +143,19 @@ _PAIR = {**_SCHEMA,
          "symbol": (_symbol, None),
          "map": (_MAP, None),
          "alpha": (_POSITIVE, 1.0)}
+# Count caps bound the work a valid config can ask for: a 256 x 256
+# berezin profile of g = z takes about 20 s.  max_refinements needs none,
+# since the sample budgets end refinement after at most 6 doublings.
 _GRID = _object({"w_max": (_POSITIVE, None),
-                 "radial_count": (_num(2, integer=True), None),
-                 "angular_count": (_num(4, integer=True), None),
+                 "radial_count": (_num(2, 256, integer=True), None),
+                 "angular_count": (_num(4, 256, integer=True), None),
                  "r_min": (_num(0), None)}, build=GridSpec)
 _TOLERANCE = _object({"rel_tol": (_num(0, 1, open_lo=True), None),
                       "abs_tol": (_num(0, 1, open_lo=True), None),
                       "max_refinements": (_num(1, integer=True), None)},
                      build=Tolerance)
 # Each pair redraws its leading coefficient ~1 / (1 - lead_floor^2) times.
-_FAMILY = _object({"count": (_num(1, integer=True), 50),
+_FAMILY = _object({"count": (_num(1, 200, integer=True), 50),
                    "seed": (_num(0, integer=True), 1729),
                    "degree_max": (_num(1, PARSE_DEGREE_CAP, integer=True), 5),
                    "alpha": (_POSITIVE, 1.0),

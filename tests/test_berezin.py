@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fockops import berezin
 from fockops.bands import HS_DIRECT_RATIO_BAND, SUBHARMONIC_LOWER
 from fockops.berezin import (
     GridSpec,
@@ -14,8 +16,8 @@ from fockops.berezin import (
     lp_integral,
     vanishes_at_infinity,
 )
-from fockops.errors import DivergentTail
-from fockops.quadrature import gaussian_integral
+from fockops.errors import DivergentTail, NonConvergence
+from fockops.quadrature import Tolerance, build_scheme, gaussian_integral
 from fockops.symbols import AffineMap, Symbol, SymbolPair, weight_at
 
 # 2 pi int_0^inf r^3 e^{-r^2} / (1+r)^2 dr, frozen from scipy.integrate.quad
@@ -27,6 +29,11 @@ Z = Symbol.polynomial([0.0, 1.0])
 
 def flat_pair(alpha=1.0):
     return SymbolPair.weighted(ONE, AffineMap(1.0), alpha=alpha)
+
+
+# g' = z - 0.9: the transform near the zero of g' needs the third level
+# (192 x 192 samples) on the default rule, points far from it stop earlier.
+DEEP_PAIR = SymbolPair.volterra(Symbol.polynomial([0.0, -0.9, 0.5]))
 
 
 class TestPointValues:
@@ -151,6 +158,84 @@ class TestProfile:
             np.testing.assert_allclose(math.exp(got),
                                        berezin_at(pair, 2.0, complex(w)),
                                        rtol=2e-4)
+
+
+class TestEvaluator:
+    """The chunked, per-point refinement of the transform evaluator."""
+
+    @pytest.mark.parametrize("a", [1.0, 0.0])
+    def test_chunk_size_leaves_values_bit_identical(self, monkeypatch, a):
+        # a = 1 centres every point at w; a = 0 centres them all at 0
+        pair = SymbolPair.volterra(Symbol.polynomial([0.2, -0.9, 0.5]),
+                                   AffineMap(a, 0.3))
+        w = np.geomspace(0.25, 16.0, 40) * np.exp(0.7j * np.arange(40))
+        v = np.conj(a) * w
+        lam = 2.0 * np.conj(np.conj(a) * w - v) + 0.5
+        scheme = build_scheme(1.0, radial_count=48,
+                              angular_count=48).refined(1)
+        small = berezin._log_level(pair, 2.0, v, lam, scheme)
+        monkeypatch.setattr(berezin, "_CHUNK", 1 << 22)
+        whole = berezin._log_level(pair, 2.0, v, lam, scheme)
+        np.testing.assert_array_equal(small, whole)
+
+    def test_points_stop_on_their_own(self, monkeypatch):
+        calls = []  # (points, samples) of each level evaluated
+        level = berezin._log_level
+
+        def spy(pair, power, v, lam, scheme):
+            calls.append((v.size,
+                          scheme.radial_nodes.size * scheme.angular_count))
+            return level(pair, power, v, lam, scheme)
+
+        monkeypatch.setattr(berezin, "_log_level", spy)
+        near = 0.8 * np.exp(2j * np.pi * np.arange(6) / 6)
+        points = np.concatenate([near, [3.0, 5.0j, -8.0, 2.0 + 2.0j]])
+        logs = berezin_log_profile(DEEP_PAIR, 2.0, points)
+        assert calls[0][0] == points.size
+        assert 0 < calls[-1][0] < points.size
+        assert calls[-1][1] == 192 * 192
+        reference = Tolerance(rel_tol=1e-9)
+        for got, w in zip(logs, points):
+            want = math.log(berezin_at(DEEP_PAIR, 2.0, complex(w),
+                                       tol=reference))
+            assert abs(got - want) <= 1e-4
+
+    @pytest.mark.parametrize("q,alpha", [(2.0, 1.0), (1.0, 0.5), (3.0, 2.0)])
+    def test_constant_weight_with_a_zero_map(self, q, alpha):
+        u0, b = 1.5 - 0.4j, 0.6 + 0.3j
+        pair = SymbolPair.weighted(Symbol.polynomial([u0]), AffineMap(0.0, b),
+                                   alpha=alpha)
+        prof = berezin_profile(pair, q, grid=GridSpec(w_max=6.0,
+                                                      radial_count=8,
+                                                      angular_count=8))
+        w = prof.radii[:, None] * np.exp(1j * prof.angles)[None, :]
+        c = 0.5 * q * alpha
+        want = abs(u0) ** q * (np.pi / c) * np.exp(
+            c * (-np.abs(w) ** 2 + 2.0 * np.real(b * np.conj(w))))
+        np.testing.assert_allclose(prof.values, want, rtol=1e-9)
+
+    def test_budget_error_keeps_converged_values(self, monkeypatch):
+        points = GridSpec(radial_count=8, angular_count=8).points(1.0).ravel()
+        full = berezin_log_profile(DEEP_PAIR, 2.0, points)
+        # Level 1 (96 x 96) still fits, level 2 (192 x 192) does not.
+        monkeypatch.setattr(berezin, "_BATCH_BUDGET", 96 * 96)
+        with pytest.raises(NonConvergence) as info:
+            berezin_log_profile(DEEP_PAIR, 2.0, points)
+        value = info.value.value
+        assert value.shape == points.shape
+        assert np.all(np.isfinite(value))
+        stopped = value == full
+        assert stopped.any() and not stopped.all()
+
+    def test_deep_profile_memory_stays_small(self):
+        tracemalloc.start()
+        try:
+            prof = berezin_profile(DEEP_PAIR, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(prof.values))
+        assert peak < 32 * 2 ** 20
 
 
 class TestPowerIntegral:

@@ -141,13 +141,16 @@ class TestSweepCommand:
     @pytest.mark.parametrize("field", [{"lead_floor": 1.5}, {"alpha": -1.0},
                                        {"degree_max": 200},
                                        {"lead_floor": 0.999999},
-                                       {"lead_floor": -0.1}])
+                                       {"lead_floor": -0.1},
+                                       {"count": 201}])
     def test_bad_family_fields_exit_two(self, tmp_path, capsys, field):
         data = {"schema": "v1",
                 "family": {"count": 2, "degree_max": 2, **field},
                 "p": 2.0, "q": 2.0, "size": 16, "orders": [4.0]}
         assert run_cli(tmp_path, "sweep", data) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
     def test_pairs_and_family_together_exit_two(self, tmp_path, capsys):
         data = {"schema": "v1", "pairs": [dict(VOLTERRA_Z)],
@@ -287,6 +290,8 @@ class TestConfigValidation:
         lambda d: d.update(grid={"w_max": -3.0}),
         lambda d: d.update(grid={"w_max": 0.0}),
         lambda d: d.update(grid={"r_min": -0.5}),
+        lambda d: d.update(grid={"radial_count": 257}),
+        lambda d: d.update(grid={"angular_count": 258}),
     ])
     def test_bad_configs_exit_two(self, tmp_path, capsys, mangle):
         data = dict(VOLTERRA_Z, p=2.0, q=2.0,
