@@ -24,14 +24,14 @@ radial variable resolves it, at the price of a radius growing with |w|;
 conical points.
 
 A batch shares one quadrature scheme, sized for its worst point, and
-refines it by doubling both node counts.  Each point stops on its own:
-once its log value is finite at its last two levels and they agree
+runs its levels (``QuadratureScheme.levels``).  Each point stops on its
+own: once its log value is finite at its last two levels and they agree
 within the relative tolerance, or is finite at neither, it keeps that
 level's value and later levels evaluate only the points still active.
-Two constants bound the work.  ``_BATCH_BUDGET`` caps the samples of one
-level; a level beyond it ends refinement with NonConvergence.
-``_CHUNK`` is the number of samples built at once, so the temporaries of
-a level stay cache-sized however many points or samples it has.
+Points are evaluated ``quadrature._CHUNK`` samples at a time, which keeps
+the per-point temporaries cache-sized however many points a level has;
+the per-sample terms shared by all points span the whole level, so a
+lone point at the 2048 x 2048 level peaks at 288 MB of traced allocations.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .errors import DivergentTail, NonConvergence
 from .quadrature import Tolerance, _leggauss, build_scheme, gaussian_integral
 from .symbols import SymbolPair, weight_at
@@ -62,13 +63,13 @@ __all__ = [
 # this fraction of c.
 _DIVERGENCE_MARGIN = 0.02
 
-# Per-level sample cap for transform refinement: a level with more
-# samples than this raises NonConvergence.
-_BATCH_BUDGET = 1 << 22
+# berezin_power_integral: stop tolerances, annulus cap, annulus log accuracy.
+_MARCH_REL, _MARCH_ABS = 1e-4, 1e-12
+_MAX_ANNULI = 12
+_ANNULUS_REL = 1e-3
 
-# Samples ``_log_level`` builds at once; sized to keep a chunk's
-# temporaries (a few arrays of this many floats) in cache.
-_CHUNK = 1 << 14
+# vanishes_at_infinity: outer ring below _VANISH_EPS * max(sup, floor).
+_VANISH_EPS, _VANISH_FLOOR = 1e-4, 1e-30
 
 _POLY = np.polynomial.polynomial
 
@@ -92,8 +93,8 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
 
     The whole exponent, Gaussian included, is assembled per sample and
     summed by log-sum-exp, which keeps every intermediate finite.  Points
-    are processed ``max(1, _CHUNK // samples)`` at a time, so the
-    temporaries stay cache-sized whatever the level.
+    are processed ``max(1, quadrature._CHUNK // samples)`` at a time, which
+    bounds the per-point temporaries but not the level-wide shared terms.
     """
     weight = pair.weight_symbol
     coeffs = np.asarray(weight.poly)
@@ -114,7 +115,7 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
         shared += power * np.real(q2 * zeta * zeta)
     out = np.empty(v.size, dtype=float)
     # Untilted, uncentred points share one row of samples and one value.
-    chunk = (max(1, _CHUNK // zeta.size) if centred or tilted
+    chunk = (max(1, quadrature._CHUNK // zeta.size) if centred or tilted
              else max(1, v.size))
     with np.errstate(divide="ignore"):
         if not centred:
@@ -158,8 +159,8 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
     once its log value is finite at both of its last two levels and they
     differ by at most ``rel_tol``, or is finite at neither.  Raises
     DivergentTail when the shifted integral diverges, and NonConvergence,
-    carrying the latest log value of every point, when a level would pass
-    ``_BATCH_BUDGET`` samples or ``tol.max_refinements`` runs out.
+    carrying the latest log value of every point, when the levels run out
+    (``tol.max_refinements`` or the sample budget) first.
     """
     c, growth = _decay_and_growth(pair, power)
     weight = pair.weight_symbol
@@ -180,12 +181,7 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
 
     logs = None
     active = np.arange(w.size)
-    for level in range(tol.max_refinements + 1):
-        sch = scheme if level == 0 else scheme.refined(level)
-        if sch.radial_nodes.size * sch.angular_count > _BATCH_BUDGET:
-            raise NonConvergence(
-                "transform refinement exceeded the sample budget",
-                value=None if logs is None else logs + log_pref)
+    for sch in scheme.levels(tol.max_refinements):
         cur = _log_level(pair, power, v[active], lam[active], sch)
         if logs is None:
             logs = cur
@@ -200,8 +196,8 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
         active = active[~done]
         if not active.size:
             return logs + log_pref
-    raise NonConvergence("transform refinement cap hit before log agreement",
-                         value=logs + log_pref)
+    raise NonConvergence("transform levels ran out before log agreement",
+                         value=None if logs is None else logs + log_pref)
 
 
 def berezin_log_profile(pair: SymbolPair, power: float, points,
@@ -356,8 +352,7 @@ def berezin_profile(pair: SymbolPair, power: float,
                           values=values, unbounded=bool(np.any(np.isinf(values))))
 
 
-def vanishes_at_infinity(profile: BerezinProfile, eps: float = 1e-4,
-                         floor: float = 1e-30) -> tuple[bool, np.ndarray]:
+def vanishes_at_infinity(profile: BerezinProfile) -> tuple[bool, np.ndarray]:
     """Strict decay test: small outer ring and non-increasing last rings.
 
     Returns (verdict, ring maxima sequence as evidence).
@@ -365,9 +360,9 @@ def vanishes_at_infinity(profile: BerezinProfile, eps: float = 1e-4,
     if profile.unbounded:
         raise ValueError("vanishing test requires a bounded profile")
     rings = profile.ring_maxima
-    small = profile.tail_max < eps * max(profile.sup, floor)
-    tail = rings[-3:]
-    monotone = bool(np.all(np.diff(tail) <= 1e-12 * max(profile.sup, floor)))
+    scale = max(profile.sup, _VANISH_FLOOR)
+    small = profile.tail_max < _VANISH_EPS * scale
+    monotone = bool(np.all(np.diff(rings[-3:]) <= 1e-12 * scale))
     return small and monotone, rings
 
 
@@ -383,10 +378,8 @@ def _segment_nodes(lo: float, hi: float, radial: int = 24,
     return pts, wts
 
 
-def berezin_power_integral(pair: SymbolPair, power: float, s_exp: float,
-                           rel_tol: float = 1e-4, abs_tol: float = 1e-12,
-                           max_annuli: int = 12,
-                           profile_rel: float = 1e-3) -> tuple[float, str]:
+def berezin_power_integral(pair: SymbolPair, power: float,
+                           s_exp: float) -> tuple[float, str]:
     """integral of B(w)^s_exp dm(w), marched over doubling annuli.
 
     Returns (value, status) with status one of "converged", "diverged",
@@ -410,7 +403,7 @@ def berezin_power_integral(pair: SymbolPair, power: float, s_exp: float,
     total = 0.0
     prev_sum = None
     prev_rho = None
-    for k in range(max_annuli + 1):
+    for k in range(_MAX_ANNULI + 1):
         hi = r_edge * (2.0 ** k)
         # The inner disk holds the mass that decides convergent values,
         # so it gets the dense rule; outer annuli only steer the ratio
@@ -420,7 +413,7 @@ def berezin_power_integral(pair: SymbolPair, power: float, s_exp: float,
         else:
             pts, wts = _segment_nodes(lo, hi, radial=12, angular=24)
         try:
-            logb = berezin_log_profile(pair, power, pts, rel_tol=profile_rel,
+            logb = berezin_log_profile(pair, power, pts, rel_tol=_ANNULUS_REL,
                                        radial_count=32, angular_count=32)
         except NonConvergence:
             return total, "inconclusive"
@@ -432,7 +425,7 @@ def berezin_power_integral(pair: SymbolPair, power: float, s_exp: float,
             total = seg
             lo = hi
             continue
-        if seg <= max(abs_tol, rel_tol * max(total, abs_tol)):
+        if seg <= max(_MARCH_ABS, _MARCH_REL * max(total, _MARCH_ABS)):
             return total + seg, "converged"
         rho = seg / prev_sum if prev_sum and prev_sum > 0 else None
         total += seg
@@ -447,15 +440,14 @@ def berezin_power_integral(pair: SymbolPair, power: float, s_exp: float,
     return total, "inconclusive"
 
 
-def lp_integral(pair: SymbolPair, q: float, s: float,
-                rel_tol: float = 1e-4) -> float:
+def lp_integral(pair: SymbolPair, q: float, s: float) -> float:
     """The p > q norm surrogate (integral of B^s dm)^(1 / (s q)); +inf verdict.
 
     ``s`` is p / (p - q) for the requested exponents.
     """
     if s <= 1:
         raise ValueError("s must exceed 1 (requires p > q)")
-    value, status = berezin_power_integral(pair, q, s, rel_tol=rel_tol)
+    value, status = berezin_power_integral(pair, q, s)
     if status == "converged":
         return float(value) ** (1.0 / (s * q))
     if status == "diverged":
@@ -463,8 +455,7 @@ def lp_integral(pair: SymbolPair, q: float, s: float,
     raise NonConvergence("annulus march was inconclusive", value=value)
 
 
-def hilbert_schmidt_integral(pair: SymbolPair,
-                             tol: Tolerance | None = None) -> float:
+def hilbert_schmidt_integral(pair: SymbolPair) -> float:
     """integral of W(z)^2 exp(alpha (|psi(z)|^2 - |z|^2)) dm(z); +inf verdict.
 
     Recentred as exp(alpha |b|^2) times a Gaussian integral with decay
@@ -488,7 +479,7 @@ def hilbert_schmidt_integral(pair: SymbolPair,
     linear = 2.0 * weight.linear_growth + float(abs(cross))
     cap = 2 * weight.degree + 8
     try:
-        res = gaussian_integral(integrand, decay, tol, growth_bound=growth,
+        res = gaussian_integral(integrand, decay, growth_bound=growth,
                                 linear_bound=linear, poly_degree_cap=cap)
     except DivergentTail:
         return math.inf

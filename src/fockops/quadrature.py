@@ -9,7 +9,8 @@ product: mapped Gauss-Legendre nodes in the radius on [0, R] and a uniform
 angular grid (the trapezoidal rule, which is spectrally accurate for
 periodic integrands).  The truncation radius R comes from an explicit tail
 bound, and refinement doubles both node counts until two successive values
-agree to tolerance.
+agree to tolerance.  Every integrator of the package takes its levels from
+``QuadratureScheme.levels`` and evaluates about ``_CHUNK`` samples at once.
 
 Conventions
 -----------
@@ -43,8 +44,11 @@ __all__ = [
     "gaussian_integral",
 ]
 
-# Refinement stops once a single level would exceed this many samples.
-_NODE_BUDGET = 1 << 24
+# Refinement stops before a level with more samples than this (2048^2).
+_SAMPLE_BUDGET = 1 << 22
+
+# Samples evaluated at once, so that a chunk's temporaries stay in cache.
+_CHUNK = 1 << 14
 
 
 @lru_cache(maxsize=32)
@@ -94,7 +98,6 @@ class QuadratureScheme:
     angular_count: int
     radius: float
     decay: float
-    tol: Tolerance
 
     def angular_nodes(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
@@ -113,8 +116,8 @@ class QuadratureScheme:
         folded = self.radial_weights * np.exp(
             -self.decay * self.radial_nodes ** 2)
         total = 0.0 + 0.0j
-        # Chunk over radii so deep refinements stay inside memory bounds.
-        step = max(1, _NODE_BUDGET // (8 * self.angular_count))
+        # Chunk over radii, about _CHUNK samples at a time.
+        step = max(1, _CHUNK // self.angular_count)
         for lo in range(0, self.radial_nodes.size, step):
             hi = lo + step
             z = np.multiply.outer(self.radial_nodes[lo:hi], phases)
@@ -129,9 +132,21 @@ class QuadratureScheme:
     def refined(self, doublings: int = 1) -> QuadratureScheme:
         """Same radius and decay, node counts doubled ``doublings`` times."""
         factor = 1 << doublings
-        return _scheme_at(self.decay, self.radius, self.tol,
+        return _scheme_at(self.decay, self.radius,
                           self.radial_nodes.size * factor,
                           self.angular_count * factor)
+
+    def levels(self, max_refinements: int):
+        """This scheme, then up to ``max_refinements`` doublings of it.
+
+        Stops before the first level above ``_SAMPLE_BUDGET`` samples,
+        without building its Gauss-Legendre table.
+        """
+        samples = self.radial_nodes.size * self.angular_count
+        for doublings in range(max_refinements + 1):
+            if samples << (2 * doublings) > _SAMPLE_BUDGET:
+                return
+            yield self.refined(doublings) if doublings else self
 
 
 @dataclass(frozen=True)
@@ -142,14 +157,14 @@ class IntegralResult:
     error_history: tuple[float, ...]
 
 
-def _scheme_at(decay: float, radius: float, tol: Tolerance,
-               n_radial: int, n_angular: int) -> QuadratureScheme:
+def _scheme_at(decay: float, radius: float, n_radial: int,
+               n_angular: int) -> QuadratureScheme:
     x, w = _leggauss(n_radial)
     r = 0.5 * radius * (x + 1.0)
     return QuadratureScheme(radial_nodes=r,
                             radial_weights=0.5 * radius * w * r,
                             angular_count=n_angular, radius=radius,
-                            decay=decay, tol=tol)
+                            decay=decay)
 
 
 def tail_radius(decay: float, abs_tol: float, growth_bound: float = 0.0,
@@ -204,7 +219,7 @@ def build_scheme(decay: float, tol: Tolerance | None = None,
     decay : float
         The positive constant c in exp(-c |z|^2).
     tol : Tolerance, optional
-        Targets recorded on the scheme; the radius uses ``tol.abs_tol``.
+        The truncation radius is set from ``tol.abs_tol``.
     growth_bound, linear_bound : float
         Quadratic and linear exponent bounds on the integrand, see the
         module docstring.
@@ -222,43 +237,36 @@ def build_scheme(decay: float, tol: Tolerance | None = None,
         raise ValueError("radial_count must be at least 2")
     radius = tail_radius(decay, tol.abs_tol, growth_bound, linear_bound,
                          poly_degree_cap)
-    return _scheme_at(decay, radius, tol, radial_count, angular_count)
+    return _scheme_at(decay, radius, radial_count, angular_count)
 
 
 def gaussian_integral(integrand, decay: float, tol: Tolerance | None = None,
                       *, growth_bound: float = 0.0, linear_bound: float = 0.0,
-                      poly_degree_cap: int = 64,
-                      scheme: QuadratureScheme | None = None) -> IntegralResult:
+                      poly_degree_cap: int = 64) -> IntegralResult:
     """Adaptive value of integral F(z) exp(-c |z|^2) dm(z).
 
-    Starts from ``scheme`` (or a freshly built base scheme), doubles both
-    node counts until two successive values agree within tolerance, and
-    returns the last value together with the achieved error estimate.
-    Raises :class:`NonConvergence` when the refinement cap or the node
-    budget is reached first, and :class:`DivergentTail` when no truncation
-    radius exists.
+    Runs the levels of a freshly built base scheme (64 x 64 nodes, see
+    ``QuadratureScheme.levels``) until two successive values agree within
+    tolerance, and returns the last value together with the achieved
+    error estimate.  Raises :class:`NonConvergence` when the refinement
+    cap or the sample budget ends the levels first, and
+    :class:`DivergentTail` when no truncation radius exists.
     """
     tol = tol or Tolerance()
-    if scheme is None:
-        scheme = build_scheme(decay, tol, growth_bound,
-                              linear_bound=linear_bound,
-                              poly_degree_cap=poly_degree_cap)
-    value = scheme.integrate(integrand)
+    scheme = build_scheme(decay, tol, growth_bound, linear_bound=linear_bound,
+                          poly_degree_cap=poly_degree_cap)
+    value = None
     history: list[float] = []
-    for level in range(1, tol.max_refinements + 1):
-        refined = scheme.refined(level)
-        if refined.radial_nodes.size * refined.angular_count > _NODE_BUDGET:
-            raise NonConvergence(
-                f"node budget exhausted at refinement {level}",
-                value=value, error=history[-1] if history else math.inf)
-        new_value = refined.integrate(integrand)
-        err = abs(new_value - value)
-        history.append(err)
+    for level, sch in enumerate(scheme.levels(tol.max_refinements)):
+        new_value = sch.integrate(integrand)
+        if value is not None:
+            err = abs(new_value - value)
+            history.append(err)
+            if err <= max(tol.rel_tol * abs(new_value), tol.abs_tol):
+                return IntegralResult(value=new_value, error=err,
+                                      refinements=level,
+                                      error_history=tuple(history))
         value = new_value
-        if err <= max(tol.rel_tol * abs(value), tol.abs_tol):
-            return IntegralResult(value=value, error=err, refinements=level,
-                                  error_history=tuple(history))
-    raise NonConvergence(
-        f"no convergence after {tol.max_refinements} refinements "
-        f"(last error {history[-1] if history else math.inf:.3g})",
-        value=value, error=history[-1] if history else math.inf)
+    error = history[-1] if history else math.inf
+    raise NonConvergence(f"no convergence after {len(history)} refinements "
+                         f"(last error {error:.3g})", value=value, error=error)

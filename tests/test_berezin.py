@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fockops import berezin
+from fockops import berezin, quadrature
 from fockops.bands import HS_DIRECT_RATIO_BAND, SUBHARMONIC_LOWER
 from fockops.berezin import (
     GridSpec,
@@ -174,7 +174,7 @@ class TestEvaluator:
         scheme = build_scheme(1.0, radial_count=48,
                               angular_count=48).refined(1)
         small = berezin._log_level(pair, 2.0, v, lam, scheme)
-        monkeypatch.setattr(berezin, "_CHUNK", 1 << 22)
+        monkeypatch.setattr(quadrature, "_CHUNK", 1 << 22)
         whole = berezin._log_level(pair, 2.0, v, lam, scheme)
         np.testing.assert_array_equal(small, whole)
 
@@ -218,7 +218,7 @@ class TestEvaluator:
         points = GridSpec(radial_count=8, angular_count=8).points(1.0).ravel()
         full = berezin_log_profile(DEEP_PAIR, 2.0, points)
         # Level 1 (96 x 96) still fits, level 2 (192 x 192) does not.
-        monkeypatch.setattr(berezin, "_BATCH_BUDGET", 96 * 96)
+        monkeypatch.setattr(quadrature, "_SAMPLE_BUDGET", 96 * 96)
         with pytest.raises(NonConvergence) as info:
             berezin_log_profile(DEEP_PAIR, 2.0, points)
         value = info.value.value

@@ -273,6 +273,14 @@ class TestExitCodes:
         assert run_cli(tmp_path, "berezin", data) == code
         assert "boom" in capsys.readouterr().err
 
+    def test_unmeetable_norm_tolerance_exits_three(self, tmp_path, capsys):
+        data = {"schema": "v1", "symbol": [1.0, 0.5], "p": 2.0,
+                "tolerance": {"rel_tol": 1e-15, "abs_tol": 1e-300}}
+        assert run_cli(tmp_path, "norm", data, "--no-cache") == 3
+        err = capsys.readouterr().err
+        assert "computation did not settle" in err
+        assert "Traceback" not in err
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("mangle", [

@@ -3,17 +3,36 @@ import math
 import numpy as np
 import pytest
 
+from fockops import quadrature
+from fockops.berezin import berezin_at
+from fockops.criteria import random_volterra_family
 from fockops.errors import DivergentTail, InvalidIntegrand, NonConvergence
+from fockops.fock_core import fock_norm
 from fockops.quadrature import (
     Tolerance,
     build_scheme,
     gaussian_integral,
     tail_radius,
 )
+from fockops.symbols import Symbol
 
 
 def constant_one(z):
     return np.ones(z.shape)
+
+
+@pytest.fixture
+def table_sizes(monkeypatch):
+    """Node counts of every Gauss-Legendre table asked for."""
+    asked = []
+    table = quadrature._leggauss
+
+    def spy(n):
+        asked.append(n)
+        return table(n)
+
+    monkeypatch.setattr(quadrature, "_leggauss", spy)
+    return asked
 
 
 class TestGaussianIntegral:
@@ -133,3 +152,46 @@ class TestScheme:
         scheme = build_scheme(1.0, radial_count=4, angular_count=4)
         with pytest.raises(InvalidIntegrand):
             scheme.integrate(lambda z: np.where(z.real > 0, np.inf, 1.0))
+
+
+class TestLevels:
+    def test_levels_double_up_to_the_budget(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_SAMPLE_BUDGET", 128 * 128)
+        base = build_scheme(1.0, radial_count=16, angular_count=16)
+        levels = list(base.levels(10))
+        assert levels[0] is base
+        assert [(s.radial_nodes.size, s.angular_count) for s in levels] == [
+            (16, 16), (32, 32), (64, 64), (128, 128)]
+        assert all(s.radius == base.radius for s in levels)
+
+    def test_levels_stop_at_the_refinement_cap(self):
+        base = build_scheme(1.0, radial_count=8, angular_count=8)
+        assert [s.angular_count for s in base.levels(2)] == [8, 16, 32]
+
+    def test_no_table_past_the_budget(self, monkeypatch, table_sizes):
+        monkeypatch.setattr(quadrature, "_SAMPLE_BUDGET", 128 * 128)
+        base = build_scheme(1.0, radial_count=16, angular_count=16)
+        for _ in base.levels(10):
+            pass
+        assert max(table_sizes) == 128
+
+
+class TestBudget:
+    """Refinement that ends on the sample budget builds no larger table.
+
+    The last level within 2^22 samples is 2048 x 2048.
+    """
+
+    UNMEETABLE = Tolerance(rel_tol=1e-15, abs_tol=1e-300)
+
+    def test_unmeetable_norm_stops_at_the_budget(self, table_sizes):
+        with pytest.raises(NonConvergence):
+            fock_norm(Symbol.polynomial([1.0, 0.5]), 2.0, 1.0,
+                      tol=self.UNMEETABLE)
+        assert max(table_sizes) == 2048
+
+    def test_far_transform_stops_at_the_budget(self, table_sizes):
+        pair = random_volterra_family(1, seed=3, degree_max=3, alpha=0.5)[0]
+        with pytest.raises(NonConvergence):
+            berezin_at(pair, 2.0, 1414.0)
+        assert max(table_sizes) == 2048
