@@ -14,24 +14,30 @@ d = conj(a) w - v, the exponent splits into the prefactor
 
 and a Gaussian integral in zeta whose exponent holds only the increment
 power (q(v + zeta) - q(v)), the linear term 2 c Re(conj(d) zeta) and
--c |zeta|^2; each level is summed by log-sum-exp.  At the recentred
-centre v = conj(a) w the exponent peaks and d = 0, so the integrand never
-sees the large cancelling exponents of the defining formula and B is
-computable at any |w|; profile batches use it.  The origin-centred v = 0
-puts the metric kink of the integral kind at the rule's centre, where the
-radial variable resolves it, at the price of a radius growing with |w|;
-``berezin_at`` takes it for single points whose recentred integrand has
-conical points.
+-c |zeta|^2; each level is summed by log-sum-exp.
 
-A batch shares one quadrature scheme, sized for its worst point, and
-runs its levels (``QuadratureScheme.levels``).  Each point stops on its
-own: once its log value is finite at its last two levels and they agree
-within the relative tolerance, or is finite at neither, it keeps that
-level's value and later levels evaluate only the points still active.
-Points are evaluated ``quadrature._CHUNK`` samples at a time, which keeps
-the per-point temporaries cache-sized however many points a level has;
-the per-sample terms shared by all points span the whole level, so a
-lone point at the 2048 x 2048 level peaks at 288 MB of traced allocations.
+One rule picks v.  In z the exponent's quadratic part is
+Re(beta z) + Re(gamma z^2) - c |z|^2 with beta = 2 c a conj(w) + power q1
+and gamma = power q2; its stationary point
+
+    v* = (conj(gamma) beta + c conj(beta)) / (2 (c^2 - |gamma|^2))
+
+(conj(a) w for a polynomial weight) leaves the zeta-integrand without a
+linear tilt, so it never sees the large cancelling exponents of the
+defining formula and B is computable at any |w|.  The one exception is
+the metric kink of the integral kind at z = 0: a point whose v*-centred
+truncation disk holds it is centred at 0 instead, where the radial
+variable resolves the kink exactly.
+
+The points of each centre kind share one quadrature scheme, sized for
+their worst point, and run its levels (``QuadratureScheme.levels``).
+Each point stops on its own: once its log value is finite at its last two
+levels and they agree within the relative tolerance, or is finite at
+neither, it keeps that level's value and later levels evaluate only the
+points still active.  Points are evaluated ``quadrature._CHUNK`` samples
+at a time, which keeps the per-point temporaries cache-sized however many
+points a level has; the per-sample terms shared by all points span the
+whole level.
 """
 
 from __future__ import annotations
@@ -149,55 +155,72 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
 
 
 def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
-                   v: np.ndarray, rel_tol: float, tol: Tolerance,
-                   radial_count: int, angular_count: int) -> np.ndarray:
-    """log B at each point of ``w``, integrated about its centre in ``v``.
+                   rel_tol: float, tol: Tolerance, radial_count: int,
+                   angular_count: int) -> np.ndarray:
+    """log B at each point of ``w``, each about the centre of the one rule.
 
-    One quadrature scheme, sized for the worst point, serves every point;
-    refinement doubles it level by level.  From level 1 on only the points
-    still active are evaluated.  A point stops, keeping that level's value,
-    once its log value is finite at both of its last two levels and they
-    differ by at most ``rel_tol``, or is finite at neither.  Raises
-    DivergentTail when the shifted integral diverges, and NonConvergence,
-    carrying the latest log value of every point, when the levels run out
-    (``tol.max_refinements`` or the sample budget) first.
+    Each centre kind (v* and the origin) shares one quadrature scheme,
+    sized for its worst point; refinement doubles it level by level.
+    From level 1 on only the points still active are evaluated.  A point
+    stops, keeping that level's value, once its log value is finite at
+    both of its last two levels and they differ by at most ``rel_tol``,
+    or is finite at neither.  Raises DivergentTail when the shifted
+    integral diverges, and NonConvergence, carrying the latest log value
+    of every point, when the levels run out (``tol.max_refinements`` or
+    the sample budget) first.
     """
     c, growth = _decay_and_growth(pair, power)
     weight = pair.weight_symbol
     a, b = pair.psi.a, pair.psi.b
     q0, q1, q2 = weight.expo
-    d = np.conj(a) * w - v
-    shift = 2.0 * c * np.conj(d)
-    tilt = power * (q1 + 2.0 * q2 * v)
-    linear = float(np.max(np.abs(shift) + np.abs(tilt), initial=0.0))
     cap = int(math.ceil(power * weight.degree)) + 8
-    scheme = build_scheme(c, tol, growth, linear_bound=linear,
-                          poly_degree_cap=cap, radial_count=radial_count,
-                          angular_count=angular_count)
-    lam = shift + tilt
+
+    def scheme(linear: float):
+        return build_scheme(c, tol, growth, linear_bound=linear,
+                            poly_degree_cap=cap, radial_count=radial_count,
+                            angular_count=angular_count)
+
+    # v* solves c conj(v) = beta / 2 + gamma v; the divergence margin
+    # keeps |gamma| below c.
+    beta = 2.0 * c * a * np.conj(w) + power * q1
+    gamma = power * q2
+    v = ((np.conj(gamma) * beta + c * np.conj(beta))
+         / (2.0 * (c * c - abs(gamma) ** 2)))
+    star = scheme(0.0)
+    origin = pair.has_metric_factor & (np.abs(v) <= star.radius)
+    v[origin] = 0.0
+    # The tilt is beta about 0 and vanishes at v*.
+    lam = np.where(origin, beta, 0.0)
+    d = np.conj(a) * w - v
     log_pref = (c * ((abs(a) ** 2 - 1.0) * np.abs(w) ** 2 - np.abs(d) ** 2
                      + 2.0 * np.real(b * np.conj(w)))
                 + power * np.real(q0 + v * (q1 + q2 * v)))
 
-    logs = None
-    active = np.arange(w.size)
-    for sch in scheme.levels(tol.max_refinements):
-        cur = _log_level(pair, power, v[active], lam[active], sch)
-        if logs is None:
-            logs = cur
-            continue
-        prev = logs[active]
-        finite = np.isfinite(cur)
-        with np.errstate(invalid="ignore"):
-            done = np.where(finite & np.isfinite(prev),
-                            np.abs(cur - prev) <= rel_tol,
-                            finite == np.isfinite(prev))
-        logs[active] = cur
-        active = active[~done]
+    logs = np.full(w.size, np.nan)
+    stopped = True
+    for active in (np.flatnonzero(~origin), np.flatnonzero(origin)):
         if not active.size:
-            return logs + log_pref
-    raise NonConvergence("transform levels ran out before log agreement",
-                         value=None if logs is None else logs + log_pref)
+            continue
+        linear = float(np.max(np.abs(lam[active])))
+        base = scheme(linear) if linear else star
+        for level, sch in enumerate(base.levels(tol.max_refinements)):
+            cur = _log_level(pair, power, v[active], lam[active], sch)
+            prev = logs[active]
+            logs[active] = cur
+            if level:
+                finite = np.isfinite(cur)
+                with np.errstate(invalid="ignore"):
+                    done = np.where(finite & np.isfinite(prev),
+                                    np.abs(cur - prev) <= rel_tol,
+                                    finite == np.isfinite(prev))
+                active = active[~done]
+                if not active.size:
+                    break
+        stopped = stopped and not active.size
+    if not stopped:
+        raise NonConvergence("transform levels ran out before log agreement",
+                             value=logs + log_pref)
+    return logs + log_pref
 
 
 def berezin_log_profile(pair: SymbolPair, power: float, points,
@@ -207,60 +230,24 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
                         angular_count: int = 48) -> np.ndarray:
     """log B(w) at each point of ``points``, to ``rel_tol`` log-accuracy.
 
-    Every point is integrated about its recentred centre conj(a) w, with
-    one quadrature scheme (sized for the worst point) shared by the whole
-    batch.  Each point is refined until its own last two levels agree
-    within ``rel_tol`` and then keeps that value, so only the points that
-    need a deeper level pay for it.  Raises DivergentTail when the shifted
-    integral diverges and NonConvergence, carrying the latest log value of
-    every point, when refinement runs out.
-
-    The default tolerance is deliberately modest: for metric-weighted
-    pairs the recentred integrand has a conical point at zeta = -v, which
-    caps the tensor rule's convergence rate, and profile batches cannot
-    afford the deep refinements that squeezing it further would need.
-    :func:`berezin_at` evaluates such single points about the origin
-    instead, where that point is resolved exactly.
+    Each point is integrated about the centre the module's one rule gives
+    it, and refined until its own last two levels agree within
+    ``rel_tol``; only the points that need a deeper level pay for it.
+    Raises DivergentTail when the shifted integral diverges and
+    NonConvergence, carrying the latest log value of every point (NaN
+    where no level ran), when refinement runs out.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    return _log_transform(pair, power, pts, np.conj(pair.psi.a) * pts,
-                          rel_tol, tol or Tolerance(), radial_count,
-                          angular_count)
-
-
-def _shifted_integrand_smooth(pair: SymbolPair, power: float) -> bool:
-    """True when the shifted integrand has no conical points.
-
-    The metric factor kinks at zeta = -v; |P|^power kinks at the zeros of
-    P unless the power is an even integer (then |P|^power is a polynomial
-    in z and conj(z)).
-    """
-    if pair.has_metric_factor:
-        return False
-    if pair.weight_symbol.degree == 0:
-        return True
-    half = 0.5 * power
-    return abs(half - round(half)) < 1e-12
+    return _log_transform(pair, power, pts, rel_tol, tol or Tolerance(),
+                          radial_count, angular_count)
 
 
 def berezin_at(pair: SymbolPair, power: float, w: complex,
                tol: Tolerance | None = None) -> float:
-    """B(w) for a single point; +inf on overflow of the finite log value.
-
-    Recentred (through :func:`berezin_log_profile`) when the shifted
-    integrand is smooth, origin-centred on a 64 x 64 base rule otherwise;
-    either way to ``tol.rel_tol`` in log value.
-    """
+    """B(w) at one point to ``tol.rel_tol`` in log value; +inf on overflow."""
     tol = tol or Tolerance()
-    if _shifted_integrand_smooth(pair, power):
-        logb = berezin_log_profile(pair, power, [w], rel_tol=tol.rel_tol,
-                                   tol=tol)[0]
-    else:
-        logb = _log_transform(pair, power, np.array([w], dtype=complex),
-                              np.zeros(1, dtype=complex), tol.rel_tol, tol,
-                              64, 64)[0]
-    if logb == -np.inf:
-        return 0.0
+    logb = berezin_log_profile(pair, power, [w], rel_tol=tol.rel_tol,
+                               tol=tol)[0]
     with np.errstate(over="ignore"):
         return float(np.exp(logb))
 

@@ -48,7 +48,11 @@ __all__ = [
 _SAMPLE_BUDGET = 1 << 22
 
 # Samples evaluated at once, so that a chunk's temporaries stay in cache.
-_CHUNK = 1 << 14
+# At 1 << 14 a float64 temporary is exactly 128 KiB, glibc's default mmap
+# threshold, so each one becomes an mmap/munmap pair with fresh page
+# faults unless an earlier large free has raised the threshold; at 1 << 13
+# they come from the heap whatever ran before.
+_CHUNK = 1 << 13
 
 
 @lru_cache(maxsize=32)
