@@ -8,15 +8,13 @@ cross-checked against truncated-matrix spectra.
 
 from .berezin import (BerezinProfile, GridSpec, berezin_at,
                       berezin_power_integral, berezin_profile,
-                      hilbert_schmidt_integral, lp_integral,
-                      vanishes_at_infinity)
+                      hilbert_schmidt_integral, vanishes_at_infinity)
 from .criteria import (Classification, ConsistencyReport, Verdict,
                        classify_berezin, consistency_report, oracle_classify,
                        random_volterra_family, schatten_membership)
 from .errors import (ConfigError, DegreeCap, DivergentTail, InvalidIntegrand,
                      NonConvergence)
-from .fock_core import (basis_element, basis_log_norm, derivative_functional,
-                        fock_norm, kernel, kernel_eval, normalized_kernel)
+from .fock_core import basis_log_norm, derivative_functional, fock_norm
 from .operator_rep import (SpectralSummary, TruncatedOperator, build_matrix,
                            kernel_image_norm, singular_values,
                            spectral_summary, toeplitz_crosscheck)
@@ -45,7 +43,6 @@ __all__ = [
     "Tolerance",
     "TruncatedOperator",
     "Verdict",
-    "basis_element",
     "basis_log_norm",
     "berezin_at",
     "berezin_power_integral",
@@ -58,11 +55,7 @@ __all__ = [
     "fock_norm",
     "gaussian_integral",
     "hilbert_schmidt_integral",
-    "kernel",
-    "kernel_eval",
     "kernel_image_norm",
-    "lp_integral",
-    "normalized_kernel",
     "oracle_classify",
     "random_volterra_family",
     "schatten_membership",

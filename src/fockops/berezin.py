@@ -60,7 +60,6 @@ __all__ = [
     "berezin_profile",
     "vanishes_at_infinity",
     "berezin_power_integral",
-    "lp_integral",
     "hilbert_schmidt_integral",
 ]
 
@@ -69,10 +68,13 @@ __all__ = [
 # this fraction of c.
 _DIVERGENCE_MARGIN = 0.02
 
+# Log-accuracy of a profile point unless the caller sets its own tolerance.
+PROFILE_TOL = Tolerance(rel_tol=1e-4)
+
 # berezin_power_integral: stop tolerances, annulus cap, annulus log accuracy.
 _MARCH_REL, _MARCH_ABS = 1e-4, 1e-12
 _MAX_ANNULI = 12
-_ANNULUS_REL = 1e-3
+_ANNULUS_TOL = Tolerance(rel_tol=1e-3)
 
 # vanishes_at_infinity: outer ring below _VANISH_EPS * max(sup, floor).
 _VANISH_EPS, _VANISH_FLOOR = 1e-4, 1e-30
@@ -155,7 +157,7 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
 
 
 def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
-                   rel_tol: float, tol: Tolerance, radial_count: int,
+                   tol: Tolerance, radial_count: int,
                    angular_count: int) -> np.ndarray:
     """log B at each point of ``w``, each about the centre of the one rule.
 
@@ -163,11 +165,11 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
     sized for its worst point; refinement doubles it level by level.
     From level 1 on only the points still active are evaluated.  A point
     stops, keeping that level's value, once its log value is finite at
-    both of its last two levels and they differ by at most ``rel_tol``,
-    or is finite at neither.  Raises DivergentTail when the shifted
-    integral diverges, and NonConvergence, carrying the latest log value
-    of every point, when the levels run out (``tol.max_refinements`` or
-    the sample budget) first.
+    both of its last two levels and they differ by at most
+    ``tol.rel_tol``, or is finite at neither.  Raises DivergentTail when
+    the shifted integral diverges, and NonConvergence, carrying the latest
+    log value of every point, when the levels run out
+    (``tol.max_refinements`` or the sample budget) first.
     """
     c, growth = _decay_and_growth(pair, power)
     weight = pair.weight_symbol
@@ -211,7 +213,7 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
                 finite = np.isfinite(cur)
                 with np.errstate(invalid="ignore"):
                     done = np.where(finite & np.isfinite(prev),
-                                    np.abs(cur - prev) <= rel_tol,
+                                    np.abs(cur - prev) <= tol.rel_tol,
                                     finite == np.isfinite(prev))
                 active = active[~done]
                 if not active.size:
@@ -224,30 +226,27 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
 
 
 def berezin_log_profile(pair: SymbolPair, power: float, points,
-                        rel_tol: float = 1e-4,
                         tol: Tolerance | None = None,
                         radial_count: int = 48,
                         angular_count: int = 48) -> np.ndarray:
-    """log B(w) at each point of ``points``, to ``rel_tol`` log-accuracy.
+    """log B(w) at each point of ``points``, to ``tol.rel_tol`` log-accuracy.
 
-    Each point is integrated about the centre the module's one rule gives
-    it, and refined until its own last two levels agree within
-    ``rel_tol``; only the points that need a deeper level pay for it.
+    ``tol`` defaults to ``PROFILE_TOL``.  Each point is integrated about
+    the centre of the module's one rule and refined until its own last two
+    levels agree; only the points that need a deeper level pay for it.
     Raises DivergentTail when the shifted integral diverges and
     NonConvergence, carrying the latest log value of every point (NaN
     where no level ran), when refinement runs out.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    return _log_transform(pair, power, pts, rel_tol, tol or Tolerance(),
+    return _log_transform(pair, power, pts, tol or PROFILE_TOL,
                           radial_count, angular_count)
 
 
 def berezin_at(pair: SymbolPair, power: float, w: complex,
                tol: Tolerance | None = None) -> float:
     """B(w) at one point to ``tol.rel_tol`` in log value; +inf on overflow."""
-    tol = tol or Tolerance()
-    logb = berezin_log_profile(pair, power, [w], rel_tol=tol.rel_tol,
-                               tol=tol)[0]
+    logb = berezin_log_profile(pair, power, [w], tol=tol or Tolerance())[0]
     with np.errstate(over="ignore"):
         return float(np.exp(logb))
 
@@ -297,12 +296,6 @@ class BerezinProfile:
         return float(np.max(self.values))
 
     @property
-    def argmax(self) -> complex:
-        i, j = np.unravel_index(int(np.argmax(self.values)),
-                                self.values.shape)
-        return complex(self.radii[i] * np.exp(1j * self.angles[j]))
-
-    @property
     def tail_max(self) -> float:
         return float(np.max(self.values[-1]))
 
@@ -318,16 +311,14 @@ class BerezinProfile:
 
 def berezin_profile(pair: SymbolPair, power: float,
                     grid: GridSpec | None = None,
-                    tol: Tolerance | None = None,
-                    rel_tol: float = 1e-4) -> BerezinProfile:
+                    tol: Tolerance | None = None) -> BerezinProfile:
     """Evaluate the transform over the grid; divergence marks unbounded."""
     grid = grid or GridSpec()
     radii = grid.radii(pair.alpha)
     angles = grid.angles()
     pts = grid.points(pair.alpha)
     try:
-        logb = berezin_log_profile(pair, power, pts.ravel(), rel_tol=rel_tol,
-                                   tol=tol)
+        logb = berezin_log_profile(pair, power, pts.ravel(), tol=tol)
     except DivergentTail as exc:
         values = np.full(pts.shape, np.inf)
         return BerezinProfile(pair=pair, power=power, radii=radii,
@@ -400,7 +391,7 @@ def berezin_power_integral(pair: SymbolPair, power: float,
         else:
             pts, wts = _segment_nodes(lo, hi, radial=12, angular=24)
         try:
-            logb = berezin_log_profile(pair, power, pts, rel_tol=_ANNULUS_REL,
+            logb = berezin_log_profile(pair, power, pts, tol=_ANNULUS_TOL,
                                        radial_count=32, angular_count=32)
         except NonConvergence:
             return total, "inconclusive"
@@ -425,21 +416,6 @@ def berezin_power_integral(pair: SymbolPair, power: float,
         prev_rho = rho
         lo = hi
     return total, "inconclusive"
-
-
-def lp_integral(pair: SymbolPair, q: float, s: float) -> float:
-    """The p > q norm surrogate (integral of B^s dm)^(1 / (s q)); +inf verdict.
-
-    ``s`` is p / (p - q) for the requested exponents.
-    """
-    if s <= 1:
-        raise ValueError("s must exceed 1 (requires p > q)")
-    value, status = berezin_power_integral(pair, q, s)
-    if status == "converged":
-        return float(value) ** (1.0 / (s * q))
-    if status == "diverged":
-        return math.inf
-    raise NonConvergence("annulus march was inconclusive", value=value)
 
 
 def hilbert_schmidt_integral(pair: SymbolPair) -> float:

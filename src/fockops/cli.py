@@ -7,6 +7,7 @@ carrying type and range; ``_COMMANDS`` drives argparse, validation, dispatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .berezin import GridSpec, berezin_profile
+from .berezin import PROFILE_TOL, GridSpec, berezin_profile
 from .criteria import (Verdict, classify_berezin, consistency_report,
                        random_volterra_family)
 from .errors import (ConfigError, DegreeCap, DivergentTail, InvalidIntegrand,
@@ -150,10 +151,9 @@ _GRID = _object({"w_max": (_POSITIVE, None),
                  "radial_count": (_num(2, 256, integer=True), None),
                  "angular_count": (_num(4, 256, integer=True), None),
                  "r_min": (_num(0), None)}, build=GridSpec)
-_TOLERANCE = _object({"rel_tol": (_num(0, 1, open_lo=True), None),
-                      "abs_tol": (_num(0, 1, open_lo=True), None),
-                      "max_refinements": (_num(1, integer=True), None)},
-                     build=Tolerance)
+_TOLERANCE = {"rel_tol": (_num(0, 1, open_lo=True), None),
+              "abs_tol": (_num(0, 1, open_lo=True), None),
+              "max_refinements": (_num(1, integer=True), None)}
 # Each pair redraws its leading coefficient ~1 / (1 - lead_floor^2) times.
 _FAMILY = _object({"count": (_num(1, 200, integer=True), 50),
                    "seed": (_num(0, integer=True), 1729),
@@ -317,7 +317,10 @@ def _run_crosscheck(cfg: dict, seed):
     return {"result.json": _dump_json(payload)}, 0
 
 
-_TRANSFORM = {"grid": (_GRID, None), "tolerance": (_TOLERANCE, None)}
+# Tolerance fields left out keep PROFILE_TOL's (norm: Tolerance()'s).
+_TRANSFORM = {"grid": (_GRID, None),
+              "tolerance": (_object(_TOLERANCE, build=functools.partial(
+                  dataclasses.replace, PROFILE_TOL)), None)}
 _PAIR_REQUIRED = ("kind", "symbol")
 
 # name -> (runner, help, fields, required fields)
@@ -329,7 +332,8 @@ _COMMANDS = {
     "norm": (_run_norm,
              "space norm and derivative functional of one symbol",
              {**_SCHEMA, "symbol": _PAIR["symbol"], "p": (_POSITIVE, None),
-              "alpha": _PAIR["alpha"], "tolerance": _TRANSFORM["tolerance"]},
+              "alpha": _PAIR["alpha"],
+              "tolerance": (_object(_TOLERANCE, build=Tolerance), None)},
              ("symbol", "p")),
     "classify": (_run_classify,
                  "boundedness/compactness verdicts from the transform",

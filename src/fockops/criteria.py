@@ -63,6 +63,16 @@ class Classification:
     evidence: dict = field(default_factory=dict)
 
 
+def _zero_operator(schatten_orders, source: str,
+                   evidence: dict) -> Classification:
+    """The zero operator: in every class, with norm and essential norm 0."""
+    return Classification(bounded=Verdict.YES, compact=Verdict.YES,
+                          schatten={float(t): Verdict.YES
+                                    for t in schatten_orders},
+                          norm_estimate=0.0, essential_norm_estimate=0.0,
+                          source=source, evidence=evidence)
+
+
 def _reconcile(cls: Classification) -> Classification:
     """Repair verdict-lattice violations, demoting to INCONCLUSIVE.
 
@@ -110,9 +120,9 @@ def _fit_ring_limit(r: np.ndarray, v: np.ndarray) -> float:
 
 
 def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec,
-                  tol: Tolerance | None, rel_tol: float) -> Classification:
+                  tol: Tolerance | None) -> Classification:
     w_ref = 0.5 * grid.resolve_w_max(pair.alpha)
-    profile = berezin_profile(pair, q, grid=grid, tol=tol, rel_tol=rel_tol)
+    profile = berezin_profile(pair, q, grid=grid, tol=tol)
     ev: dict = {"mode": "sup", "w_ref": w_ref,
                 "radii": profile.radii.tolist(),
                 "ring_maxima": profile.ring_maxima.tolist()}
@@ -216,7 +226,6 @@ def schatten_membership(pair: SymbolPair, order: float):
 def classify_berezin(pair: SymbolPair, p: float, q: float,
                      grid: GridSpec | None = None,
                      tol: Tolerance | None = None,
-                     rel_tol: float = 1e-4,
                      schatten_orders=()) -> Classification:
     """Classify boundedness and compactness from the transform alone.
 
@@ -224,15 +233,12 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
     geometric ring grid decides; for p > q finiteness of the s-th power
     integral (s the conjugate exponent of p/q) decides both at once.
     Schatten verdicts are attached when p = q = 2 and orders are given.
+    ``tol`` is the sup profile's, ``berezin.PROFILE_TOL`` by default.
     """
     if p <= 0 or q <= 0:
         raise ValueError("exponents must be positive")
     if pair.weight_symbol.is_zero:
-        cls = Classification(bounded=Verdict.YES, compact=Verdict.YES,
-                             norm_estimate=0.0, essential_norm_estimate=0.0,
-                             evidence={"mode": "zero"})
-        cls.schatten = {float(t): Verdict.YES for t in schatten_orders}
-        return cls
+        return _zero_operator(schatten_orders, "berezin", {"mode": "zero"})
 
     if p <= q:
         span = grid if grid is not None else GridSpec()
@@ -240,7 +246,7 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
                         radial_count=span.radial_count,
                         angular_count=span.angular_count,
                         r_min=span.r_min)
-        cls = _classify_sup(pair, q, wide, tol, rel_tol)
+        cls = _classify_sup(pair, q, wide, tol)
     else:
         cls = _classify_integral(pair, p, q)
 
@@ -265,11 +271,7 @@ def _oracle_volterra_identity(pair: SymbolPair, p: float, q: float,
     g = pair.symbol
     deg = g.derivative().degree if not g.derivative().is_zero else -1
     if deg < 0:  # constant g, zero operator
-        cls = Classification(bounded=Verdict.YES, compact=Verdict.YES,
-                             norm_estimate=0.0, essential_norm_estimate=0.0,
-                             source="oracle", evidence={"family": "zero"})
-        cls.schatten = {float(t): Verdict.YES for t in schatten_orders}
-        return cls
+        return _zero_operator(schatten_orders, "oracle", {"family": "zero"})
     ev = {"family": "polynomial-symbol, identity map", "degree": deg + 1}
     if p <= q:
         bounded = Verdict.YES if deg + 1 <= 2 else Verdict.NO
@@ -295,12 +297,8 @@ def _oracle_weighted(pair: SymbolPair, p: float, q: float,
     a_mod = abs(pair.psi.a)
     if u.is_polynomial and u.degree == 0:
         if u.poly[0] == 0:
-            cls = Classification(bounded=Verdict.YES, compact=Verdict.YES,
-                                 norm_estimate=0.0,
-                                 essential_norm_estimate=0.0,
-                                 source="oracle", evidence={"family": "zero"})
-            cls.schatten = {float(t): Verdict.YES for t in schatten_orders}
-            return cls
+            return _zero_operator(schatten_orders, "oracle",
+                                  {"family": "zero"})
         if abs(a_mod - 1.0) < _SCALE_BAND and a_mod != 1.0:
             return None
         ev = {"family": "constant weight, affine map", "a_mod": a_mod}

@@ -1,4 +1,4 @@
-"""Gaussian-weighted entire-function spaces: basis, kernels, norms.
+"""Gaussian-weighted entire-function spaces: basis scale and norms.
 
 The space with exponent p and weight parameter alpha consists of entire f
 with
@@ -22,12 +22,6 @@ from .symbols import Symbol
 
 __all__ = [
     "basis_log_norm",
-    "basis_element",
-    "kernel",
-    "normalized_kernel",
-    "kernel_eval",
-    "monomial_gram",
-    "poly_inner",
     "fock_norm",
     "derivative_functional",
 ]
@@ -38,84 +32,30 @@ def basis_log_norm(n: int, alpha: float) -> float:
     return 0.5 * (n * math.log(alpha) - math.lgamma(n + 1))
 
 
-def basis_element(n: int, alpha: float) -> Symbol:
-    """The n-th orthonormal basis vector sqrt(alpha^n / n!) z^n (p = 2)."""
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = math.exp(basis_log_norm(n, alpha))
-    return Symbol.polynomial(coeffs)
+def _mean_power(f: Symbol, p: float, alpha: float, tol: Tolerance | None,
+                damped: bool) -> float:
+    """Exponent-p norm of f, or of f(z) / (1 + |z|) when ``damped``."""
+    if p <= 0 or alpha <= 0:
+        raise ValueError("p and alpha must be positive")
+    c = 0.5 * p * alpha
 
+    def integrand(z):
+        log_vals = f.log_abs(z)
+        if damped:
+            log_vals = log_vals - np.log1p(np.abs(z))
+        return np.exp(np.maximum(p * log_vals, -745.0))
 
-def kernel(w: complex, alpha: float) -> Symbol:
-    """Reproducing kernel K_w(z) = exp(alpha conj(w) z)."""
-    return Symbol.exponential(q1=alpha * np.conj(w))
-
-
-def normalized_kernel(w: complex, alpha: float) -> Symbol:
-    """Unit-norm kernel exp(-alpha |w|^2 / 2 + alpha conj(w) z)."""
-    return Symbol.exponential(q0=-0.5 * alpha * abs(w) ** 2,
-                              q1=alpha * np.conj(w))
-
-
-def kernel_eval(w: complex, z, alpha: float,
-                normalized: bool = False) -> np.ndarray:
-    """Evaluate K_w(z), or its unit-norm version when ``normalized``.
-
-    Overflow saturates to inf; callers integrate against Gaussians that
-    dominate the kernel growth.
-    """
-    z = np.asarray(z, dtype=complex)
-    expo = alpha * np.conj(w) * z
-    if normalized:
-        expo = expo - 0.5 * alpha * abs(w) ** 2
-    with np.errstate(over="ignore"):
-        return np.exp(expo)
-
-
-def monomial_gram(m: int, n: int, alpha: float) -> float:
-    """<z^m, z^n> = delta_{mn} n! / alpha^n in the p = 2 space."""
-    if m < 0 or n < 0:
-        raise ValueError("monomial indices must be non-negative")
-    if m != n:
-        return 0.0
-    return math.exp(math.lgamma(n + 1) - n * math.log(alpha))
-
-
-def poly_inner(f: Symbol, g: Symbol, alpha: float) -> complex:
-    """Exact p = 2 inner product of two polynomial symbols.
-
-    Uses <z^m, z^n> = delta_{mn} n! / alpha^n, which is the monomial
-    orthogonality under the (alpha / pi)-normalised Gaussian measure.
-    """
-    if not (f.is_polynomial and g.is_polynomial):
-        raise ValueError("exact inner products require polynomial symbols")
-    n = min(len(f.poly), len(g.poly))
-    fa = np.asarray(f.poly[:n])
-    ga = np.asarray(g.poly[:n])
-    moments = np.exp([math.lgamma(k + 1) - k * math.log(alpha)
-                      for k in range(n)])
-    return complex(np.sum(fa * np.conj(ga) * moments))
-
-
-def _growth_of(f: Symbol, p: float) -> tuple[float, float, int]:
-    """Quadratic, linear and polynomial growth bounds of |f|^p."""
-    return (p * f.gaussian_growth, p * f.linear_growth,
-            int(math.ceil(p * f.degree)) + 8)
+    res = gaussian_integral(integrand, c, tol,
+                            growth_bound=p * f.gaussian_growth,
+                            linear_bound=p * f.linear_growth,
+                            poly_degree_cap=int(math.ceil(p * f.degree)) + 8)
+    return float((c / math.pi) * res.value.real) ** (1.0 / p)
 
 
 def fock_norm(f: Symbol, p: float, alpha: float,
               tol: Tolerance | None = None) -> float:
     """Numerical norm of ``f`` in the exponent-p space."""
-    if p <= 0 or alpha <= 0:
-        raise ValueError("p and alpha must be positive")
-    c = 0.5 * p * alpha
-    growth, linear, cap = _growth_of(f, p)
-
-    def integrand(z):
-        return np.exp(np.maximum(p * f.log_abs(z), -745.0))
-
-    res = gaussian_integral(integrand, c, tol, growth_bound=growth,
-                            linear_bound=linear, poly_degree_cap=cap)
-    return float((c / math.pi) * res.value.real) ** (1.0 / p)
+    return _mean_power(f, p, alpha, tol, damped=False)
 
 
 def derivative_functional(f: Symbol, p: float, alpha: float,
@@ -126,17 +66,5 @@ def derivative_functional(f: Symbol, p: float, alpha: float,
     constants depending only on p and alpha; the measured two-sided band is
     pinned down in the regression tests.
     """
-    if p <= 0 or alpha <= 0:
-        raise ValueError("p and alpha must be positive")
-    df = f.derivative()
-    c = 0.5 * p * alpha
-    growth, linear, cap = _growth_of(df, p)
-
-    def integrand(z):
-        log_vals = p * (df.log_abs(z) - np.log1p(np.abs(z)))
-        return np.exp(np.maximum(log_vals, -745.0))
-
-    res = gaussian_integral(integrand, c, tol, growth_bound=growth,
-                            linear_bound=linear, poly_degree_cap=cap)
-    seminorm = float((c / math.pi) * res.value.real) ** (1.0 / p)
+    seminorm = _mean_power(f.derivative(), p, alpha, tol, damped=True)
     return abs(complex(f(0.0))) + seminorm

@@ -10,7 +10,7 @@ import numpy as np
 from .berezin import berezin_at
 from .fock_core import basis_log_norm
 from .quadrature import Tolerance, _leggauss, build_scheme, tail_radius
-from .symbols import Symbol, SymbolPair
+from .symbols import SymbolPair
 
 __all__ = [
     "TruncatedOperator",
@@ -23,8 +23,6 @@ __all__ = [
     "radial_metric_moments",
     "kernel_image_norm",
 ]
-
-_POLY = np.polynomial.polynomial
 
 # Relative agreement with the half-size truncation that counts as converged
 # for op_norm and the essential-norm proxy.
@@ -49,15 +47,15 @@ def _weighted_power_series(pair: SymbolPair, size: int,
     """cols[m, n] = m-th Taylor coefficient of psi^n times the weight symbol.
 
     The weight symbol is g' for the integral kind and u for the weighted
-    composition kind; n runs below ``size`` and m below ``rows``.
+    composition kind; n runs below ``size`` and m below ``rows``.  Column
+    n is column n - 1 times psi(z) = a z + b.
     """
     a, b = pair.psi.a, pair.psi.b
-    weight = pair.weight_symbol
     cols = np.empty((rows, size), dtype=complex)
-    power = np.array([1.0 + 0j])  # coefficients of (a z + b)^n
-    for n in range(size):
-        cols[:, n] = (Symbol(poly=power) * weight).series(rows)
-        power = _POLY.polymul(power, np.array([b, a]))
+    cols[:, 0] = pair.weight_symbol.series(rows)
+    for n in range(1, size):
+        cols[:, n] = b * cols[:, n - 1]
+        cols[1:, n] += a * cols[:-1, n - 1]
     return cols
 
 

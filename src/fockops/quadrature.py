@@ -68,8 +68,9 @@ class Tolerance:
     """Convergence targets for adaptive refinement.
 
     ``rel_tol`` and ``abs_tol`` enter through the stopping rule
-    |I_k - I_{k-1}| <= max(rel_tol * |I_k|, abs_tol); ``max_refinements``
-    caps the number of doublings.
+    |I_k - I_{k-1}| <= max(rel_tol * |I_k|, abs_tol), or for a transform
+    point |log B_k - log B_{k-1}| <= rel_tol; ``max_refinements`` caps the
+    number of doublings.
     """
 
     rel_tol: float = 1e-8

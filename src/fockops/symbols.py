@@ -177,14 +177,6 @@ class Symbol:
 
     __rmul__ = __mul__
 
-    def antiderivative_at_zero(self) -> Symbol:
-        """The antiderivative vanishing at 0; polynomial symbols only."""
-        if not self.is_polynomial:
-            raise ValueError("antiderivative is only defined for polynomials")
-        out = np.zeros(len(self.poly) + 1, dtype=complex)
-        out[1:] = np.asarray(self.poly) / np.arange(1, len(self.poly) + 1)
-        return Symbol(poly=out)
-
     def series(self, length: int) -> np.ndarray:
         """First ``length`` Taylor coefficients of self about 0."""
         if length <= 0:

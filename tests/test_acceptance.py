@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fockops.bands import EQUIV_BAND
-from fockops.berezin import berezin_at, berezin_profile, lp_integral, \
+from fockops.berezin import berezin_at, berezin_profile, \
     hilbert_schmidt_integral
 from fockops.criteria import (Verdict, classify_berezin, oracle_classify,
                               random_volterra_family, schatten_membership)
@@ -148,10 +148,11 @@ def test_criterion_8_gram_crosscheck(report):
 
 def test_criterion_9_integral_regime(report):
     ok = True
-    finite = lp_integral(SymbolPair.weighted(ONE, AffineMap(0.5)), 2.0, 2.0)
+    finite = classify_berezin(SymbolPair.weighted(ONE, AffineMap(0.5)),
+                              4.0, 2.0).norm_estimate
     ok &= abs(finite - (np.pi ** 3 / 1.5) ** 0.25) <= 1e-4 * finite
-    ok &= lp_integral(SymbolPair.weighted(ONE, AffineMap(1.0)), 2.0, 2.0) \
-        == math.inf
+    ok &= classify_berezin(SymbolPair.weighted(ONE, AffineMap(1.0)),
+                           4.0, 2.0).norm_estimate == math.inf
     for a, member in ((0.5, Verdict.YES), (0.9, Verdict.YES),
                       (1.0, Verdict.NO)):
         cls = classify_berezin(SymbolPair.weighted(ONE, AffineMap(a)),

@@ -15,10 +15,9 @@ from fockops.berezin import (
     berezin_power_integral,
     berezin_profile,
     hilbert_schmidt_integral,
-    lp_integral,
     vanishes_at_infinity,
 )
-from fockops.criteria import random_volterra_family
+from fockops.criteria import classify_berezin, random_volterra_family
 from fockops.errors import DivergentTail, NonConvergence
 from fockops.quadrature import Tolerance, build_scheme, gaussian_integral
 from fockops.symbols import AffineMap, Symbol, SymbolPair, weight_at
@@ -233,7 +232,8 @@ class TestFarPoints:
         want = (math.log(math.pi / math.sqrt(det)) + power * np.real(q0)
                 - c * np.abs(w) ** 2 + 2.0 * c * np.real(psi.b * np.conj(w))
                 + 0.5 * np.real(beta * v))
-        got = berezin_log_profile(pair, power, w, rel_tol=1e-8)
+        got = berezin_log_profile(pair, power, w,
+                                  tol=Tolerance(rel_tol=1e-8))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_far_point_memory_stays_small(self):
@@ -402,15 +402,12 @@ class TestLpIntegral:
         # p = 4 > q = 2 gives s = 2; for psi = z/2 the double Gaussian
         # integral collapses to (pi^3 / 1.5)^(1/4)
         pair = SymbolPair.weighted(ONE, AffineMap(0.5))
-        got = lp_integral(pair, 2.0, 2.0)
+        got = classify_berezin(pair, 4.0, 2.0).norm_estimate
         np.testing.assert_allclose(got, (np.pi ** 3 / 1.5) ** 0.25, rtol=1e-6)
 
     def test_identity_map_is_not_integrable(self):
-        assert lp_integral(flat_pair(), 2.0, 2.0) == math.inf
-
-    def test_exponent_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            lp_integral(flat_pair(), 2.0, 1.0)
+        assert classify_berezin(flat_pair(), 4.0, 2.0).norm_estimate \
+            == math.inf
 
 
 class TestHilbertSchmidt:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fockops import cli
+from fockops.berezin import berezin_log_profile
 from fockops.criteria import Classification, ConsistencyReport, Verdict
 from fockops.errors import DegreeCap, InvalidIntegrand, NonConvergence
 from fockops.operator_rep import build_matrix, singular_values
+from fockops.quadrature import Tolerance
 from fockops.symbols import Symbol, SymbolPair
 
 VOLTERRA_Z = {"schema": "v1", "kind": "volterra", "symbol": [0.0, 1.0]}
@@ -280,6 +282,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "computation did not settle" in err
         assert "Traceback" not in err
+
+
+class TestTolerance:
+    # |g'| = |z - 0.9| kinks near the grid at power 1, so the profile's
+    # points keep refining while rel_tol asks for more digits.
+    KINKED = {"schema": "v1", "kind": "volterra", "symbol": [0.0, -0.9, 0.5],
+              "q": 1.0, "grid": {"w_max": 1.0, "r_min": 0.5,
+                                 "radial_count": 2, "angular_count": 6}}
+    CLASSIFY_Z = dict(VOLTERRA_Z, p=2.0, q=2.0)
+
+    def output(self, tmp_path, capsys, command, data, tolerance):
+        if tolerance is not None:
+            data = dict(data, tolerance=tolerance)
+        assert run_cli(tmp_path, command, data) == 0
+        return capsys.readouterr().out
+
+    def test_berezin_rel_tol_sets_the_log_accuracy(self, tmp_path, capsys):
+        loose = self.output(tmp_path, capsys, "berezin", self.KINKED,
+                            {"rel_tol": 0.5})
+        tight = self.output(tmp_path, capsys, "berezin", self.KINKED,
+                            {"rel_tol": 1e-6})
+        assert tight != loose
+        rows = np.array([[float(c) for c in row.split(",")]
+                         for row in tight.strip().splitlines()[1:]])
+        pair = SymbolPair.volterra(Symbol.polynomial([0.0, -0.9, 0.5]))
+        want = berezin_log_profile(pair, 1.0, rows[:, 0] + 1j * rows[:, 1],
+                                   tol=Tolerance(rel_tol=1e-8))
+        assert np.max(np.abs(np.log(rows[:, 2]) - want)) <= 1e-6
+
+    def test_classify_rel_tol_reaches_the_profile(self, tmp_path, capsys):
+        loose = json.loads(self.output(tmp_path, capsys, "classify",
+                                       self.CLASSIFY_Z, {"rel_tol": 0.5}))
+        tight = json.loads(self.output(tmp_path, capsys, "classify",
+                                       self.CLASSIFY_Z, {"rel_tol": 1e-9}))
+        assert (tight["evidence"]["ring_maxima"]
+                != loose["evidence"]["ring_maxima"])
+        for key in ("bounded", "compact"):
+            assert tight[key] == loose[key] == "yes"
+
+    @pytest.mark.parametrize("command", ["berezin", "classify", "norm"])
+    def test_absent_rel_tol_keeps_the_default_output(self, tmp_path, capsys,
+                                                     command):
+        data = {"berezin": self.KINKED, "classify": self.CLASSIFY_Z,
+                "norm": {"schema": "v1", "symbol": [0.0, 1.0],
+                         "p": 2.0}}[command]
+        default = self.output(tmp_path, capsys, command, data, None)
+        for tolerance in ({"max_refinements": 10}, {"abs_tol": 1e-12}):
+            assert self.output(tmp_path, capsys, command, data,
+                               tolerance) == default
 
 
 class TestConfigValidation:

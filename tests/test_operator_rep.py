@@ -5,6 +5,7 @@ import pytest
 
 from fockops.fock_core import basis_log_norm
 from fockops.operator_rep import (
+    _weighted_power_series,
     build_matrix,
     kernel_image_norm,
     radial_metric_moments,
@@ -69,6 +70,35 @@ class TestBuildMatrix:
     def test_entries_stay_finite_for_large_sizes(self):
         op = build_matrix(SymbolPair.volterra(Z), 256)
         assert np.all(np.isfinite(op.entries))
+
+
+def product_columns(pair, size, rows):
+    """Column n: Taylor coefficients of psi^n times the weight symbol."""
+    psi = Symbol.polynomial([pair.psi.b, pair.psi.a])
+    power = Symbol.one()
+    cols = np.empty((rows, size), dtype=complex)
+    for n in range(size):
+        cols[:, n] = (power * pair.weight_symbol).series(rows)
+        power = power * psi
+    return cols
+
+
+class TestPowerSeries:
+    @pytest.mark.parametrize("pair", [
+        SymbolPair.weighted(Symbol.exponential(q1=0.3, q2=0.1j),
+                            AffineMap(0.6, 0.4 - 0.2j)),
+        SymbolPair.weighted(Symbol(poly=(1.0, 0.5j), expo=(0.1, -0.2, 0.05)),
+                            AffineMap(-0.5j, 0.7)),
+        SymbolPair.volterra(Symbol.exponential(q2=0.2), AffineMap(0.8, 0.5),
+                            alpha=2.0),
+    ])
+    @pytest.mark.parametrize("size,rows", [(32, 35), (128, 127)])
+    def test_recurrence_matches_symbol_products(self, pair, size, rows):
+        got = _weighted_power_series(pair, size, rows)
+        want = product_columns(pair, size, rows)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(scale > 0)
+        assert np.max(np.abs(got - want) / scale) <= 1e-13
 
 
 class TestSpectralSummary:

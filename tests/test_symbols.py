@@ -91,16 +91,6 @@ def test_product_matches_pointwise(lhs, rhs, z):
                  scale=1.0)
 
 
-@given(coeffs=st_coeffs)
-@settings(max_examples=40, deadline=None)
-def test_antiderivative_then_derivative_roundtrip(coeffs):
-    sym = Symbol.polynomial(coeffs)
-    back = sym.antiderivative_at_zero().derivative()
-    assert back.degree == sym.degree
-    for got, want in zip(back.poly, sym.poly):
-        assert close(got, want)
-
-
 class TestDerivative:
     def test_polynomial_rule(self):
         sym = Symbol.polynomial([5.0, 1.0, 2.0, 3.0])
