@@ -42,6 +42,8 @@ whole level.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -356,6 +358,56 @@ def _segment_nodes(lo: float, hi: float, radial: int = 24,
     return pts, wts
 
 
+# Annuli evaluated inside the current ``_shared_annuli`` scope, keyed by
+# (pair, power, k); None outside any scope.
+_ANNULI: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "fockops_annuli", default=None)
+
+
+@contextlib.contextmanager
+def _shared_annuli():
+    """Evaluate each annulus once for all power integrals run inside.
+
+    B on an annulus does not depend on the exponent s_exp.  The store
+    ends with the scope, so the next scope evaluates its annuli afresh.
+    """
+    token = _ANNULI.set({})
+    try:
+        yield
+    finally:
+        _ANNULI.reset(token)
+
+
+def _annulus(pair: SymbolPair, power: float,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(area weights, log B at the nodes) of annulus k of the march.
+
+    Annulus 0 is the disk |w| < r_edge with r_edge = 6 / sqrt(c); annulus
+    k >= 1 spans r_edge 2^(k-1) < |w| < r_edge 2^k.  Inside a
+    ``_shared_annuli`` scope the result is stored and reused;
+    NonConvergence is not stored.
+    """
+    store = _ANNULI.get()
+    key = (pair, power, k)
+    if store is not None and key in store:
+        return store[key]
+    c, _ = _decay_and_growth(pair, power)
+    r_edge = 6.0 / math.sqrt(c)
+    # The inner disk holds the mass that decides convergent values, so it
+    # gets the dense rule; outer annuli only steer the ratio test and can
+    # run coarse.
+    if k == 0:
+        pts, wts = _segment_nodes(0.0, r_edge, radial=24, angular=32)
+    else:
+        pts, wts = _segment_nodes(r_edge * (2.0 ** (k - 1)),
+                                  r_edge * (2.0 ** k), radial=12, angular=24)
+    logb = berezin_log_profile(pair, power, pts, tol=_ANNULUS_TOL,
+                               radial_count=32, angular_count=32)
+    if store is not None:
+        store[key] = wts, logb
+    return wts, logb
+
+
 def berezin_power_integral(pair: SymbolPair, power: float,
                            s_exp: float) -> tuple[float, str]:
     """integral of B(w)^s_exp dm(w), marched over doubling annuli.
@@ -365,34 +417,26 @@ def berezin_power_integral(pair: SymbolPair, power: float,
     exception escapes.  The march compares consecutive annulus sums; a
     ratio staying near or above 1 certifies divergence (the borderline
     log-divergent case has ratio exactly 1), while a stable ratio below 1
-    is extrapolated geometrically.
+    is extrapolated geometrically.  Inside a ``_shared_annuli`` scope, as
+    in the Schatten loop of ``classify_berezin``, the integrals of one
+    (pair, power) evaluate each annulus once, whatever their exponents;
+    outside one every call evaluates its own.
     """
-    if s_exp <= 0:
+    if not (math.isfinite(s_exp) and s_exp > 0):
         raise ValueError("s_exp must be positive")
     try:
-        c, _ = _decay_and_growth(pair, power)
+        _decay_and_growth(pair, power)
     except DivergentTail:
         return math.inf, "diverged"
     if pair.weight_symbol.is_zero:
         return 0.0, "converged"
 
-    r_edge = 6.0 / math.sqrt(c)
-    lo = 0.0
     total = 0.0
     prev_sum = None
     prev_rho = None
     for k in range(_MAX_ANNULI + 1):
-        hi = r_edge * (2.0 ** k)
-        # The inner disk holds the mass that decides convergent values,
-        # so it gets the dense rule; outer annuli only steer the ratio
-        # test and can run coarse.
-        if k == 0:
-            pts, wts = _segment_nodes(lo, hi, radial=24, angular=32)
-        else:
-            pts, wts = _segment_nodes(lo, hi, radial=12, angular=24)
         try:
-            logb = berezin_log_profile(pair, power, pts, tol=_ANNULUS_TOL,
-                                       radial_count=32, angular_count=32)
+            wts, logb = _annulus(pair, power, k)
         except NonConvergence:
             return total, "inconclusive"
         with np.errstate(over="ignore"):
@@ -401,7 +445,6 @@ def berezin_power_integral(pair: SymbolPair, power: float,
             return math.inf, "diverged"
         if k == 0:
             total = seg
-            lo = hi
             continue
         if seg <= max(_MARCH_ABS, _MARCH_REL * max(total, _MARCH_ABS)):
             return total + seg, "converged"
@@ -414,7 +457,6 @@ def berezin_power_integral(pair: SymbolPair, power: float,
                 return total + seg * rho / (1.0 - rho), "converged"
         prev_sum = seg
         prev_rho = rho
-        lo = hi
     return total, "inconclusive"
 
 

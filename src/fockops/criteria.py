@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .berezin import (BerezinProfile, GridSpec, berezin_power_integral,
-                      berezin_profile, hilbert_schmidt_integral,
-                      vanishes_at_infinity)
+from .berezin import (BerezinProfile, GridSpec, _shared_annuli,
+                      berezin_power_integral, berezin_profile,
+                      hilbert_schmidt_integral, vanishes_at_infinity)
 from .errors import NonConvergence
 from .operator_rep import build_matrix, spectral_summary
 from .quadrature import Tolerance
@@ -210,9 +210,11 @@ def schatten_membership(pair: SymbolPair, order: float):
     """Verdict and norm estimate for the order-t class, p = q = 2 source.
 
     Membership reduces to finiteness of the integral of B^{t/2}; the
-    estimate returned is the integral's value to the power 1/t.
+    estimate returned is the integral's value to the power 1/t.  The
+    order must be finite and positive.  A standalone call marches its own
+    annuli; inside ``classify_berezin`` the orders share them.
     """
-    if order <= 0:
+    if not (math.isfinite(order) and order > 0):
         raise ValueError("order must be positive")
     value, status = berezin_power_integral(pair, 2.0, 0.5 * order)
     if status == "converged":
@@ -232,10 +234,13 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
     For p <= q the sup/vanishing behaviour of the transform over a
     geometric ring grid decides; for p > q finiteness of the s-th power
     integral (s the conjugate exponent of p/q) decides both at once.
-    Schatten verdicts are attached when p = q = 2 and orders are given.
-    ``tol`` is the sup profile's, ``berezin.PROFILE_TOL`` by default.
+    Schatten verdicts are attached when p = q = 2 and orders are given;
+    the orders share one evaluation of each power-integral annulus, so
+    extra orders cost only their sums.  ``tol`` is the sup profile's,
+    ``berezin.PROFILE_TOL`` by default.  p and q must be finite and
+    positive.
     """
-    if p <= 0 or q <= 0:
+    if not (math.isfinite(p) and math.isfinite(q) and p > 0 and q > 0):
         raise ValueError("exponents must be positive")
     if pair.weight_symbol.is_zero:
         return _zero_operator(schatten_orders, "berezin", {"mode": "zero"})
@@ -252,10 +257,11 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
 
     if schatten_orders and p == 2.0 and q == 2.0:
         details = {}
-        for t in schatten_orders:
-            verdict, est, status = schatten_membership(pair, float(t))
-            cls.schatten[float(t)] = verdict
-            details[float(t)] = {"estimate": est, "status": status}
+        with _shared_annuli():
+            for t in schatten_orders:
+                verdict, est, status = schatten_membership(pair, float(t))
+                cls.schatten[float(t)] = verdict
+                details[float(t)] = {"estimate": est, "status": status}
         cls.evidence["schatten"] = details
     return _reconcile(cls)
 

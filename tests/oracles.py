@@ -32,6 +32,19 @@ def normalized_kernel(w: complex, alpha: float) -> Symbol:
                               q1=alpha * np.conj(w))
 
 
+def kernel_coefficients(w, alpha, size):
+    """Coefficients of the normalised kernel in the orthonormal basis."""
+    if w == 0:
+        coeffs = np.zeros(size, dtype=complex)
+        coeffs[0] = 1.0
+        return coeffs
+    n = np.arange(size)
+    log_mag = (n * np.log(abs(w))
+               + np.array([basis_log_norm(int(k), alpha) for k in n])
+               - alpha * abs(w) ** 2 / 2)
+    return np.exp(-1j * n * np.angle(w)) * np.exp(log_mag)
+
+
 def monomial_gram(m: int, n: int, alpha: float) -> float:
     """<z^m, z^n> = delta_{mn} n! / alpha^n in the p = 2 space."""
     if m < 0 or n < 0:

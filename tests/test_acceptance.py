@@ -14,12 +14,12 @@ from fockops.berezin import berezin_at, berezin_profile, \
     hilbert_schmidt_integral
 from fockops.criteria import (Verdict, classify_berezin, oracle_classify,
                               random_volterra_family, schatten_membership)
-from fockops.fock_core import basis_log_norm
 from fockops.operator_rep import (build_matrix, kernel_image_norm,
                                   singular_values, spectral_summary,
                                   toeplitz_crosscheck)
 from fockops.quadrature import gaussian_integral
 from fockops.symbols import AffineMap, Symbol, SymbolPair
+from oracles import kernel_coefficients
 
 ONE = Symbol.polynomial([1.0])
 Z = Symbol.polynomial([0.0, 1.0])
@@ -49,18 +49,6 @@ def family_results():
              classify_berezin(pair, 2.0, 2.0),
              oracle_classify(pair, 2.0, 2.0))
             for pair in family]
-
-
-def kernel_coefficients(w, alpha, size):
-    if w == 0:
-        coeffs = np.zeros(size, dtype=complex)
-        coeffs[0] = 1.0
-        return coeffs
-    n = np.arange(size)
-    log_mag = (n * np.log(abs(w))
-               + np.array([basis_log_norm(int(k), alpha) for k in n])
-               - alpha * abs(w) ** 2 / 2)
-    return np.exp(-1j * n * np.angle(w)) * np.exp(log_mag)
 
 
 def test_criterion_1_quadrature_invariance(report):

@@ -396,6 +396,36 @@ class TestPowerIntegral:
         assert status == "diverged"
         assert value == math.inf
 
+    @pytest.mark.parametrize("u0,a,b,alpha,s", [
+        (1.3, 0.5, 0.0, 1.0, 2.0),
+        (0.9 - 0.3j, 0.5 + 0.2j, 0.4 - 0.7j, 1.0, 1.0),
+        (1.0, 0.7j, 1.0, 0.5, 0.5),
+        (2.0, 0.3, 0.2, 2.0, 2.0),
+    ])
+    def test_constant_weight_closed_form(self, u0, a, b, alpha, s):
+        # B(w) = |u0|^q (pi / c) exp(-c (1 - |a|^2) |w|^2
+        #        + 2 c Re(b conj(w))), c = q alpha / 2, so the integral of
+        # B^s is Gaussian: with A = s c (1 - |a|^2) it equals
+        # |u0|^(q s) (pi / c)^s (pi / A) exp((s c)^2 |b|^2 / A)
+        q = 2.0
+        pair = SymbolPair.weighted(Symbol.polynomial([u0]), AffineMap(a, b),
+                                   alpha=alpha)
+        c = 0.5 * q * alpha
+        big_a = s * c * (1.0 - abs(a) ** 2)
+        want = (abs(u0) ** (q * s) * (math.pi / c) ** s * (math.pi / big_a)
+                * math.exp((s * c) ** 2 * abs(b) ** 2 / big_a))
+        value, status = berezin_power_integral(pair, q, s)
+        assert status == "converged"
+        assert abs(value - want) <= 1e-10 * want
+        t = 2.0 * s
+        cls = classify_berezin(pair, 2.0, 2.0, schatten_orders=(t,))
+        assert cls.evidence["schatten"][t]["estimate"] == value ** (1.0 / t)
+
+    @pytest.mark.parametrize("s_exp", [math.nan, math.inf, -math.inf, 0.0])
+    def test_exponent_must_be_finite_and_positive(self, s_exp):
+        with pytest.raises(ValueError, match="s_exp"):
+            berezin_power_integral(SymbolPair.volterra(Z), 2.0, s_exp)
+
 
 class TestLpIntegral:
     def test_contraction_reference_value(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockops import berezin
 from fockops.berezin import GridSpec
 from fockops.criteria import (
     Classification,
@@ -89,6 +90,13 @@ class TestClassifySupremum:
         assert "w_ref" in cls.evidence
         assert cls.source == "berezin"
 
+    @pytest.mark.parametrize("p,q", [(math.nan, 2.0), (math.inf, 2.0),
+                                     (2.0, math.nan), (2.0, math.inf),
+                                     (0.0, 2.0), (2.0, -1.0)])
+    def test_exponents_must_be_finite_and_positive(self, p, q):
+        with pytest.raises(ValueError, match="exponents"):
+            classify_berezin(SymbolPair.volterra(Z), p, q)
+
 
 class TestClassifyIntegral:
     def test_contraction_above_target_exponent(self):
@@ -119,12 +127,62 @@ class TestSchatten:
         assert verdict is Verdict.NO
         assert estimate == math.inf
 
+    @pytest.mark.parametrize("order", [math.nan, math.inf, 0.0, -1.0])
+    def test_order_must_be_finite_and_positive(self, order):
+        with pytest.raises(ValueError, match="order"):
+            schatten_membership(SymbolPair.volterra(Z), order)
+
     def test_orders_attach_only_on_the_hilbert_space_diagonal(self):
         pair = SymbolPair.volterra(Z)
         on = classify_berezin(pair, 2.0, 2.0, schatten_orders=(4.0,))
         off = classify_berezin(pair, 4.0, 2.0, schatten_orders=(4.0,))
         assert on.schatten[4.0] is Verdict.YES
         assert off.schatten == {}
+
+
+class TestSharedAnnuli:
+    ORDERS = (1.0, 2.0, 4.0)
+
+    @pytest.fixture
+    def annulus_calls(self, monkeypatch):
+        """Node sets of every power-integral annulus evaluated."""
+        calls = []
+        original = berezin.berezin_log_profile
+
+        def spy(pair, power, points, tol=None, **kwargs):
+            if tol is berezin._ANNULUS_TOL:
+                calls.append(np.asarray(points).tobytes())
+            return original(pair, power, points, tol=tol, **kwargs)
+
+        monkeypatch.setattr(berezin, "berezin_log_profile", spy)
+        return calls
+
+    @pytest.mark.parametrize("pair", [
+        SymbolPair.volterra(Z),
+        SymbolPair.weighted(Symbol.polynomial([0.9 - 0.3j]),
+                            AffineMap(0.5 + 0.2j, 0.4 - 0.7j)),
+    ])
+    def test_one_call_evaluates_each_annulus_once(self, pair, annulus_calls):
+        cls = classify_berezin(pair, 2.0, 2.0, schatten_orders=self.ORDERS)
+        shared = list(annulus_calls)
+        assert shared
+        assert len(set(shared)) == len(shared)
+        for t in self.ORDERS:
+            verdict, estimate, status = schatten_membership(pair, t)
+            assert cls.schatten[t] == verdict
+            assert cls.evidence["schatten"][t] == {"estimate": estimate,
+                                                  "status": status}
+        # standalone calls each march their own annuli
+        assert len(annulus_calls) - len(shared) > len(shared)
+
+    def test_the_share_ends_with_the_call(self, annulus_calls):
+        pair = SymbolPair.volterra(Z)
+        classify_berezin(pair, 2.0, 2.0, schatten_orders=self.ORDERS)
+        first = list(annulus_calls)
+        assert berezin._ANNULI.get() is None
+        classify_berezin(pair, 2.0, 2.0, schatten_orders=self.ORDERS)
+        assert annulus_calls[len(first):] == first
+        assert berezin._ANNULI.get() is None
 
 
 class TestReconcile:

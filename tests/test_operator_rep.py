@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fockops.fock_core import basis_log_norm
 from fockops.operator_rep import (
     _weighted_power_series,
     build_matrix,
@@ -14,6 +13,7 @@ from fockops.operator_rep import (
     toeplitz_crosscheck,
 )
 from fockops.symbols import AffineMap, Symbol, SymbolPair
+from oracles import kernel_coefficients
 
 ONE = Symbol.polynomial([1.0])
 Z = Symbol.polynomial([0.0, 1.0])
@@ -23,19 +23,6 @@ Z = Symbol.polynomial([0.0, 1.0])
 MOMENT0_ALPHA_1 = 1.051303812194896
 MOMENT0_ALPHA_2 = 0.666231488370593
 MOMENT1_ALPHA_1 = 0.660574220699140
-
-
-def kernel_coefficients(w, alpha, size):
-    """Coefficients of the normalised kernel in the orthonormal basis."""
-    if w == 0:
-        coeffs = np.zeros(size, dtype=complex)
-        coeffs[0] = 1.0
-        return coeffs
-    n = np.arange(size)
-    log_mag = (n * np.log(abs(w))
-               + np.array([basis_log_norm(int(k), alpha) for k in n])
-               - alpha * abs(w) ** 2 / 2)
-    return np.exp(-1j * n * np.angle(w)) * np.exp(log_mag)
 
 
 class TestBuildMatrix:
