@@ -6,63 +6,42 @@ classification, essential-norm and Schatten-class estimates, all
 cross-checked against truncated-matrix spectra.
 """
 
-from .berezin import (BerezinProfile, GridSpec, berezin_at,
-                      berezin_power_integral, berezin_profile,
-                      hilbert_schmidt_integral, vanishes_at_infinity)
-from .criteria import (Classification, ConsistencyReport, Verdict,
-                       classify_berezin, consistency_report, oracle_classify,
-                       random_volterra_family, schatten_membership)
-from .errors import (ConfigError, DegreeCap, DivergentTail, InvalidIntegrand,
-                     NonConvergence)
-from .fock_core import basis_log_norm, derivative_functional, fock_norm
-from .operator_rep import (SpectralSummary, TruncatedOperator, build_matrix,
-                           kernel_image_norm, singular_values,
-                           spectral_summary, toeplitz_crosscheck)
-from .quadrature import (IntegralResult, QuadratureScheme, Tolerance,
-                         build_scheme, gaussian_integral, tail_radius)
-from .symbols import AffineMap, Symbol, SymbolPair, weight_at
+import importlib
 
 __version__ = "0.1.0"
+SCHEMA = "v1"  # the CLI's config and artifact schema
 
-__all__ = [
-    "AffineMap",
-    "BerezinProfile",
-    "Classification",
-    "ConfigError",
-    "ConsistencyReport",
-    "DegreeCap",
-    "DivergentTail",
-    "GridSpec",
-    "IntegralResult",
-    "InvalidIntegrand",
-    "NonConvergence",
-    "QuadratureScheme",
-    "SpectralSummary",
-    "Symbol",
-    "SymbolPair",
-    "Tolerance",
-    "TruncatedOperator",
-    "Verdict",
-    "basis_log_norm",
-    "berezin_at",
-    "berezin_power_integral",
-    "berezin_profile",
-    "build_matrix",
-    "build_scheme",
-    "classify_berezin",
-    "consistency_report",
-    "derivative_functional",
-    "fock_norm",
-    "gaussian_integral",
-    "hilbert_schmidt_integral",
-    "kernel_image_norm",
-    "oracle_classify",
-    "random_volterra_family",
-    "schatten_membership",
-    "singular_values",
-    "spectral_summary",
-    "tail_radius",
-    "toeplitz_crosscheck",
-    "vanishes_at_infinity",
-    "weight_at",
-]
+# public name -> the submodule defining it, imported on first use.  Each
+# access reads the submodule's live binding; nothing is copied here.
+_HOME = {name: module for module, names in {
+    "berezin": "BerezinProfile GridSpec berezin_at berezin_power_integral"
+               " berezin_profile hilbert_schmidt_integral"
+               " vanishes_at_infinity",
+    "criteria": "Classification ConsistencyReport Verdict classify_berezin"
+                " consistency_report oracle_classify random_volterra_family"
+                " schatten_membership",
+    "errors": "ConfigError DegreeCap DivergentTail InvalidIntegrand"
+              " NonConvergence",
+    "fock_core": "basis_log_norm derivative_functional fock_norm",
+    "operator_rep": "SpectralSummary TruncatedOperator build_matrix"
+                    " kernel_image_norm singular_values spectral_summary"
+                    " toeplitz_crosscheck",
+    "quadrature": "IntegralResult QuadratureScheme Tolerance build_scheme"
+                  " gaussian_integral tail_radius",
+    "symbols": "AffineMap Symbol SymbolPair weight_at",
+}.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    if name in _HOME.values():  # a submodule not imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_HOME.values()})

@@ -237,11 +237,14 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
     Schatten verdicts are attached when p = q = 2 and orders are given;
     the orders share one evaluation of each power-integral annulus, so
     extra orders cost only their sums.  ``tol`` is the sup profile's,
-    ``berezin.PROFILE_TOL`` by default.  p and q must be finite and
-    positive.
+    ``berezin.PROFILE_TOL`` by default.  p, q and the orders must be
+    finite and positive.
     """
     if not (math.isfinite(p) and math.isfinite(q) and p > 0 and q > 0):
         raise ValueError("exponents must be positive")
+    schatten_orders = tuple(map(float, schatten_orders))
+    if not all(math.isfinite(t) and t > 0 for t in schatten_orders):
+        raise ValueError("order must be positive")
     if pair.weight_symbol.is_zero:
         return _zero_operator(schatten_orders, "berezin", {"mode": "zero"})
 
@@ -259,9 +262,9 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
         details = {}
         with _shared_annuli():
             for t in schatten_orders:
-                verdict, est, status = schatten_membership(pair, float(t))
-                cls.schatten[float(t)] = verdict
-                details[float(t)] = {"estimate": est, "status": status}
+                verdict, est, status = schatten_membership(pair, t)
+                cls.schatten[t] = verdict
+                details[t] = {"estimate": est, "status": status}
         cls.evidence["schatten"] = details
     return _reconcile(cls)
 

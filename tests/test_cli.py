@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fockops import cli
+from fockops import cli, commands
 from fockops.berezin import berezin_log_profile
 from fockops.criteria import Classification, ConsistencyReport, Verdict
-from fockops.errors import DegreeCap, InvalidIntegrand, NonConvergence
+from fockops.errors import (ConfigError, DegreeCap, InvalidIntegrand,
+                            NonConvergence)
 from fockops.operator_rep import build_matrix, singular_values
 from fockops.quadrature import Tolerance
 from fockops.symbols import Symbol, SymbolPair
@@ -91,7 +96,7 @@ class TestClassifyCommand:
                                               capsys):
         stub = Classification(bounded=Verdict.INCONCLUSIVE,
                               compact=Verdict.INCONCLUSIVE)
-        monkeypatch.setattr(cli, "classify_berezin",
+        monkeypatch.setattr(commands, "classify_berezin",
                             lambda *args, **kwargs: stub)
         data = dict(VOLTERRA_Z, p=2.0, q=2.0)
         assert run_cli(tmp_path, "classify", data) == 3
@@ -166,7 +171,7 @@ class TestSweepCommand:
             mismatches=[(0, "bounded", Verdict.YES, Verdict.NO)],
             lattice_conflicts=[], spectral_disagreements=[],
             op_norm_ratios=[], hs_ratios=[], entries=[])
-        monkeypatch.setattr(cli, "consistency_report",
+        monkeypatch.setattr(commands, "consistency_report",
                             lambda *args, **kwargs: report)
         data = {"schema": "v1", "pairs": [dict(VOLTERRA_Z)],
                 "p": 2.0, "q": 2.0}
@@ -249,7 +254,7 @@ class TestCache:
         def explode(*args, **kwargs):
             raise NonConvergence("stuck")
 
-        monkeypatch.setattr(cli, "berezin_profile", explode)
+        monkeypatch.setattr(commands, "berezin_profile", explode)
         config = write_config(tmp_path, self.berezin_config())
         cache = tmp_path / "cache"
         argv = ["berezin", "--config", str(config), "--cache", str(cache)]
@@ -261,6 +266,114 @@ class TestCache:
         assert cli.entrypoint(argv) == 0
         assert "cache hit" not in capsys.readouterr().err
 
+    SMALL = {
+        "berezin": dict(CONTRACTION, q=2.0, grid={
+            "w_max": 2.0, "radial_count": 3, "angular_count": 4}),
+        "norm": {"schema": "v1", "symbol": [0.0, 1.0], "p": 2.0},
+        "classify": dict(VOLTERRA_Z, p=2.0, q=2.0, orders=[4.0], grid={
+            "radial_count": 12, "angular_count": 8}),
+        "schatten": dict(CONTRACTION, size=8, orders=[2.0]),
+        "sweep": {"schema": "v1", "pairs": [dict(CONTRACTION)], "size": 8,
+                  "orders": [2.0]},
+        "crosscheck": dict(VOLTERRA_Z, size=8),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_miss_hit_and_no_cache_give_the_same_bytes(self, tmp_path,
+                                                       capsys, command):
+        config = write_config(tmp_path, self.SMALL[command])
+        seen = []
+        for mode in ("miss", "hit", "no-cache"):
+            for target in ("stdout", "out"):
+                flags = (["--no-cache"] if mode == "no-cache" else
+                         ["--cache", str(tmp_path / f"cache-{target}")])
+                out = tmp_path / f"{mode}-{target}" / "result.out"
+                if target == "out":
+                    flags += ["--out", str(out)]
+                code = cli.entrypoint([command, "--config", str(config),
+                                       *flags])
+                stdout, err = capsys.readouterr()
+                assert ("cache hit" in err) == (mode == "hit")
+                files = ({p.name: p.read_bytes()
+                          for p in out.parent.iterdir()}
+                         if target == "out" else {"result.out": stdout})
+                seen.append((code, target, files))
+        code, _, from_stdout = seen[0]
+        _, _, files = seen[1]
+        assert code == 0
+        assert seen[0::2] == [(code, "stdout", from_stdout)] * 3
+        assert seen[1::2] == [(code, "out", files)] * 3
+        assert files["result.out"] == from_stdout["result.out"].encode()
+        if command == "schatten":
+            assert set(files) == {"result.out", "result.singular.csv"}
+        else:
+            assert set(files) == {"result.out"}
+
+    def test_invalid_config_is_never_stored(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(VOLTERRA_Z, p=-2.0, q=2.0))
+        cache = tmp_path / "cache"
+        argv = ["classify", "--config", str(config), "--cache", str(cache)]
+        for _ in range(2):
+            assert cli.entrypoint(argv) == 2
+            assert "config error: p:" in capsys.readouterr().err
+        assert not cache.exists() or not any(cache.iterdir())
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def python(*args):
+    """A fresh ``python args`` process on this source tree."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+
+
+class TestImportBudget:
+    def test_cache_hit_imports_no_numerics(self, tmp_path):
+        config = write_config(tmp_path, TestCache.SMALL["classify"])
+        argv = ["classify", "--config", str(config), "--cache",
+                str(tmp_path / "cache"), "--out", str(tmp_path / "r.json")]
+        assert cli.entrypoint(argv) == 0
+        proc = python("-c", "import sys\nfrom fockops import cli\n"
+                      "code = cli.entrypoint(sys.argv[1:])\n"
+                      "print(code, 'numpy' in sys.modules,"
+                      " 'fockops.berezin' in sys.modules)", *argv)
+        assert "cache hit" in proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"]
+
+    def test_traced_names_resolve_to_the_runners_bindings(self):
+        for name in ("classify_berezin", "fock_norm", "spectral_summary",
+                     "consistency_report", "berezin_profile"):
+            assert getattr(cli, name) is getattr(commands, name)
+
+
+class TestDeepConfigs:
+    # 988 passes json.loads but not the cache key's json.dumps; 100000
+    # fails json.loads itself
+    @pytest.mark.parametrize("depth", [988, 100000])
+    def test_deep_nesting_is_a_config_error(self, tmp_path, depth):
+        config = tmp_path / "deep.json"
+        config.write_text('{"kind": "volterra", "p": 2, "q": 2, "symbol": '
+                          + "[" * depth + "]" * depth + "}")
+        cache = tmp_path / "cache"
+        proc = python("-m", "fockops.cli", "classify", "--config",
+                      str(config), "--cache", str(cache))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not cache.exists() or not any(cache.iterdir())
+
+    def test_run_rejects_a_config_too_deep_for_the_cache_key(self):
+        deep = []
+        for _ in range(100000):
+            deep = [deep]
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            cli.run("classify", {"symbol": deep})
+
+
+def test_help_table_names_every_command():
+    assert list(cli._HELP) == list(commands._COMMANDS)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("error,code", [(InvalidIntegrand, 3),
@@ -270,7 +383,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "berezin_profile", explode)
+        monkeypatch.setattr(commands, "berezin_profile", explode)
         data = dict(CONTRACTION, q=2.0)
         assert run_cli(tmp_path, "berezin", data) == code
         assert "boom" in capsys.readouterr().err

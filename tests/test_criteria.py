@@ -132,6 +132,15 @@ class TestSchatten:
         with pytest.raises(ValueError, match="order"):
             schatten_membership(SymbolPair.volterra(Z), order)
 
+    # the zero operator and p, q != 2 never reach schatten_membership
+    @pytest.mark.parametrize("order", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("symbol,p,q", [(ONE, 2.0, 2.0), (Z, 4.0, 2.0),
+                                            (Z, 2.0, 4.0)])
+    def test_classify_checks_orders_on_every_path(self, symbol, p, q, order):
+        with pytest.raises(ValueError, match="order"):
+            classify_berezin(SymbolPair.volterra(symbol), p, q,
+                             schatten_orders=(2.0, order))
+
     def test_orders_attach_only_on_the_hilbert_space_diagonal(self):
         pair = SymbolPair.volterra(Z)
         on = classify_berezin(pair, 2.0, 2.0, schatten_orders=(4.0,))
