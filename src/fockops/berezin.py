@@ -37,7 +37,10 @@ neither, it keeps that level's value and later levels evaluate only the
 points still active.  Points are evaluated ``quadrature._CHUNK`` samples
 at a time, which keeps the per-point temporaries cache-sized however many
 points a level has; the per-sample terms shared by all points span the
-whole level.
+whole level.  Untilted points whose centres cannot change the samples
+(all are 0, or P is constant without the metric factor: about v* a
+weight u0 e^q leaves power (log |u0| + Re(q2 zeta^2)) at every w) share
+one row of samples per level, whatever their number.
 """
 
 from __future__ import annotations
@@ -105,12 +108,14 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
     summed by log-sum-exp, which keeps every intermediate finite.  Points
     are processed ``max(1, quadrature._CHUNK // samples)`` at a time, which
     bounds the per-point temporaries but not the level-wide shared terms.
+    A centre acts only through P and the metric factor; see the module.
     """
     weight = pair.weight_symbol
     coeffs = np.asarray(weight.poly)
     q2 = weight.expo[2]
     zeta, bare = scheme.complex_nodes()
-    centred = bool(np.any(v))
+    centred = bool(np.any(v)) and (weight.degree >= 1
+                                   or pair.has_metric_factor)
     tilted = bool(np.any(lam))
     # Centre-independent terms once per level, the radial ones once per
     # radius: the Gaussian, and the metric factor when every centre is 0.
@@ -124,13 +129,13 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
     if q2 != 0:
         shared += power * np.real(q2 * zeta * zeta)
     out = np.empty(v.size, dtype=float)
-    # Untilted, uncentred points share one row of samples and one value.
+    # Untilted, uncentred points (``centred`` above) share one row.
     chunk = (max(1, quadrature._CHUNK // zeta.size) if centred or tilted
              else max(1, v.size))
     with np.errstate(divide="ignore"):
         if not centred:
-            # All-zero centres sample P at the nodes themselves, so its
-            # terms join the shared ones once per level.
+            # Zero centres sample P at the nodes, and a constant P is the
+            # same anywhere, so its terms join the shared ones per level.
             log_p = np.log(np.abs(_POLY.polyval(zeta, coeffs)))
             log_p *= power
             shared += log_p

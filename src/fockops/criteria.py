@@ -11,7 +11,7 @@ import numpy as np
 from .berezin import (BerezinProfile, GridSpec, _shared_annuli,
                       berezin_power_integral, berezin_profile,
                       hilbert_schmidt_integral, vanishes_at_infinity)
-from .errors import NonConvergence
+from .errors import InvalidIntegrand, NonConvergence
 from .operator_rep import build_matrix, spectral_summary
 from .quadrature import Tolerance
 from .symbols import Symbol, SymbolPair
@@ -434,7 +434,8 @@ def consistency_report(pairs, p: float, q: float, size: int = 128,
 
     Every definite disagreement with a closed-form verdict is a mismatch;
     spectral partial sums only vote when their convergence flag is set.
-    Norm ratios are collected for the equivalence-band regression.
+    Norm ratios are collected for the equivalence-band regression; a pair
+    whose direct HS integral fails to converge or overflows adds none.
     """
     mismatches, conflicts, spectral_dis = [], [], []
     op_ratios, hs_ratios, entries = [], [], []
@@ -484,7 +485,7 @@ def consistency_report(pairs, p: float, q: float, size: int = 128,
                 op_ratios.append(summary.op_norm / cls.norm_estimate)
             try:
                 direct = hilbert_schmidt_integral(pair)
-            except NonConvergence:
+            except (NonConvergence, InvalidIntegrand):
                 direct = math.nan
             hs_partial = summary.schatten.get(2.0)
             if math.isfinite(direct) and summary.hs_norm > 0 \

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -110,6 +111,38 @@ def mp_transform(pair, power, w, radial, about=0.0):
 # of g' needs the third level (192 x 192 samples) on the default rule,
 # points far from it stop earlier.
 DEEP_PAIR = SymbolPair.volterra(Symbol.polynomial([0.0, -0.9, 0.5]))
+
+# A contracting map with b != 0, so every centre v* is non-zero.
+CONTRACTING = AffineMap(0.5 * cmath.exp(0.4j), 0.6 + 0.3j)
+# Weights u0 e^q: about v* the integrand is the same at every w.
+PURE_EXPONENTIAL = [SymbolPair.weighted(Symbol.polynomial([1.5 - 0.4j]),
+                                        CONTRACTING),
+                    SymbolPair.weighted(Symbol.exponential(q2=0.1j),
+                                        CONTRACTING)]
+# Weights whose integrand about v* depends on w through P(v* + zeta).
+POINT_DEPENDENT = [SymbolPair.weighted(Symbol.polynomial([0.3, 1.0 - 0.5j]),
+                                       CONTRACTING),
+                   SymbolPair.volterra(Symbol.polynomial([0.0, 0.2, 0.5j]),
+                                       CONTRACTING)]
+
+
+def spy_rows(monkeypatch):
+    """[points, sample rows P was evaluated on] of each level to come."""
+    levels = []
+    level = berezin._log_level
+    polyval = berezin._POLY.polyval
+
+    def count(x, c):
+        levels[-1][1] += 1 if x.ndim == 1 else x.shape[0]
+        return polyval(x, c)
+
+    def spy(pair, power, v, lam, scheme):
+        levels.append([v.size, 0])
+        return level(pair, power, v, lam, scheme)
+
+    monkeypatch.setattr(berezin, "_POLY", types.SimpleNamespace(polyval=count))
+    monkeypatch.setattr(berezin, "_log_level", spy)
+    return levels
 
 
 class TestPointValues:
@@ -350,6 +383,33 @@ class TestEvaluator:
             c * (-np.abs(w) ** 2 + 2.0 * np.real(b * np.conj(w))))
         np.testing.assert_allclose(prof.values, want, rtol=1e-9)
 
+    @pytest.mark.parametrize("pair", PURE_EXPONENTIAL)
+    def test_pure_exponential_weight_costs_one_row_per_level(self,
+                                                             monkeypatch,
+                                                             pair):
+        points = GridSpec().points(pair.alpha).ravel()
+        levels = spy_rows(monkeypatch)
+        logs = berezin_log_profile(pair, 2.0, points)
+        berezin_power_integral(pair, 2.0, 1.0)
+        # the profile's 384 points and annulus 0's 24 x 32
+        assert {384, 24 * 32} <= {size for size, _ in levels}
+        assert all(rows == 1 for _, rows in levels)
+        single = [berezin_log_profile(pair, 2.0, [w])[0] for w in points]
+        np.testing.assert_array_equal(logs, single)
+
+    @pytest.mark.parametrize("pair", POINT_DEPENDENT)
+    def test_point_dependent_weight_keeps_a_row_per_point(self, monkeypatch,
+                                                          pair):
+        # |v*| >= 10 keeps every volterra point off the origin centre
+        points = GridSpec(w_max=40.0, r_min=20.0, radial_count=6,
+                          angular_count=8).points(pair.alpha).ravel()
+        levels = spy_rows(monkeypatch)
+        logs = berezin_log_profile(pair, 2.0, points)
+        assert levels[0][0] == points.size
+        assert all(rows == size for size, rows in levels)
+        single = [berezin_log_profile(pair, 2.0, [w])[0] for w in points]
+        np.testing.assert_array_equal(logs, single)
+
     def test_budget_error_keeps_converged_values(self, monkeypatch):
         points = GridSpec(radial_count=8, angular_count=8).points(1.0).ravel()
         full = berezin_log_profile(DEEP_PAIR, 1.0, points)
@@ -372,6 +432,48 @@ class TestEvaluator:
             tracemalloc.stop()
         assert np.all(np.isfinite(prof.values))
         assert peak < 32 * 2 ** 20
+
+
+class TestWeightScaling:
+    """Scaling the weight by lam multiplies B by |lam|^power."""
+
+    SCALES = [1e-3, 2.5 * cmath.exp(0.7j), 1e3]
+
+    @staticmethod
+    def scaled(pair, lam):
+        symbol = Symbol(poly=tuple(lam * c for c in pair.symbol.poly),
+                        expo=pair.symbol.expo)
+        return SymbolPair(kind=pair.kind, symbol=symbol, psi=pair.psi,
+                          alpha=pair.alpha)
+
+    @pytest.mark.parametrize("pair", PURE_EXPONENTIAL + POINT_DEPENDENT)
+    def test_log_transform_shifts_by_power_log_lam(self, pair):
+        points = GridSpec(radial_count=8, angular_count=8).points(
+            pair.alpha).ravel()
+        tol = Tolerance(rel_tol=1e-6)
+        base = berezin_log_profile(pair, 2.0, points, tol=tol)
+        for lam in self.SCALES:
+            got = berezin_log_profile(self.scaled(pair, lam), 2.0, points,
+                                      tol=tol)
+            shift = 2.0 * math.log(abs(lam))
+            np.testing.assert_allclose(got - base, shift, rtol=0,
+                                       atol=tol.rel_tol)
+
+    @pytest.mark.parametrize("pair", PURE_EXPONENTIAL + POINT_DEPENDENT)
+    def test_verdicts_hold_and_norm_scales(self, pair):
+        def verdicts(cls):
+            return cls.bounded, cls.compact, cls.schatten
+
+        orders = (1.0, 2.0, 4.0)
+        base = classify_berezin(pair, 2.0, 2.0, schatten_orders=orders)
+        assert math.isfinite(base.norm_estimate)
+        for lam in self.SCALES:
+            cls = classify_berezin(self.scaled(pair, lam), 2.0, 2.0,
+                                   schatten_orders=orders)
+            assert verdicts(cls) == verdicts(base)
+            np.testing.assert_allclose(cls.norm_estimate,
+                                       abs(lam) * base.norm_estimate,
+                                       rtol=1e-9)
 
 
 class TestPowerIntegral:

@@ -165,6 +165,20 @@ class TestSweepCommand:
         assert run_cli(tmp_path, "sweep", data) == 2
         assert "config error: config:" in capsys.readouterr().err
 
+    def test_overflowing_hs_integral_still_writes_the_artifact(self,
+                                                               tmp_path,
+                                                               capsys):
+        # the direct HS integral of this pair overflows in linear space
+        gaussian = {"prefactor": [1.0], "exponent": [0.0, 0.0, 0.48]}
+        data = {"schema": "v1",
+                "pairs": [{"kind": "weighted", "symbol": gaussian,
+                           "map": {"a": 0.05}}],
+                "p": 2.0, "q": 2.0, "size": 16, "orders": [2.0]}
+        assert run_cli(tmp_path, "sweep", data) in (0, 4)
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["entries"]) == 1
+        assert payload["hs_ratios"] == []
+
     def test_disagreement_exits_four(self, tmp_path, monkeypatch, capsys):
         report = ConsistencyReport(
             comparisons=1, agreements=0,

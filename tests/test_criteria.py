@@ -15,6 +15,7 @@ from fockops.criteria import (
     random_volterra_family,
     schatten_membership,
 )
+from fockops.errors import InvalidIntegrand
 from fockops.symbols import AffineMap, Symbol, SymbolPair
 
 ONE = Symbol.polynomial([1.0])
@@ -301,3 +302,16 @@ class TestConsistencyReport:
         assert report.op_norm_ratios
         # the direct integral carries the pi/alpha normalisation constant
         np.testing.assert_allclose(report.hs_ratios, np.pi, rtol=0.02)
+
+    def test_overflowing_hs_integral_leaves_the_report_whole(self):
+        # The direct HS integral sums in linear space and overflows inside
+        # its disk, though its value is pi / sqrt(0.9975^2 - 0.96^2).
+        pair = SymbolPair.weighted(Symbol.exponential(q2=0.48),
+                                   AffineMap(0.05))
+        with pytest.raises(InvalidIntegrand):
+            berezin.hilbert_schmidt_integral(pair)
+        report = consistency_report([pair], 2.0, 2.0, size=32)
+        cls = report.entries[0]["classified"]
+        assert (cls.bounded, cls.compact) == (Verdict.YES, Verdict.YES)
+        assert set(cls.schatten.values()) == {Verdict.YES}
+        assert report.hs_ratios == []
