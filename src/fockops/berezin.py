@@ -31,6 +31,9 @@ variable resolves the kink exactly.
 
 The points of each centre kind share one quadrature scheme, sized for
 their worst point, and run its levels (``QuadratureScheme.levels``).
+Profiles, ``berezin_at`` and the power integral's annuli share one coarse
+24 x 24 base, so their levels are 24 * 2^k per axis: the rule converges
+exponentially, and a point exact at 48 x 48 need not confirm at 96 x 96.
 Each point stops on its own: once its log value is finite at its last two
 levels and they agree within the relative tolerance, or is finite at
 neither, it keeps that level's value and later levels evaluate only the
@@ -76,8 +79,14 @@ _DIVERGENCE_MARGIN = 0.02
 # Log-accuracy of a profile point unless the caller sets its own tolerance.
 PROFILE_TOL = Tolerance(rel_tol=1e-4)
 
-# berezin_power_integral: stop tolerances, annulus cap, annulus log accuracy.
-_MARCH_REL, _MARCH_ABS = 1e-4, 1e-12
+# Nodes per axis of every transform's first level.  Gauss-Legendre
+# converges exponentially, so a point is often exact to rounding at
+# 48 x 48; a 24 x 24 start lets it stop there instead of confirming at
+# 96 x 96.  The levels 24 * 2^k hold the 48 * 2^k ones.
+_BASE_NODES = 24
+
+# berezin_power_integral: stop tolerance, annulus cap, annulus log accuracy.
+_MARCH_REL = 1e-4
 _MAX_ANNULI = 12
 _ANNULUS_TOL = Tolerance(rel_tol=1e-3)
 
@@ -163,21 +172,23 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
     return out
 
 
-def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
-                   tol: Tolerance, radial_count: int,
-                   angular_count: int) -> np.ndarray:
-    """log B at each point of ``w``, each about the centre of the one rule.
+def berezin_log_profile(pair: SymbolPair, power: float, points,
+                        tol: Tolerance | None = None) -> np.ndarray:
+    """log B(w) at each point of ``points``, to ``tol.rel_tol`` log-accuracy.
 
-    Each centre kind (v* and the origin) shares one quadrature scheme,
-    sized for its worst point; refinement doubles it level by level.
-    From level 1 on only the points still active are evaluated.  A point
-    stops, keeping that level's value, once its log value is finite at
-    both of its last two levels and they differ by at most
-    ``tol.rel_tol``, or is finite at neither.  Raises DivergentTail when
-    the shifted integral diverges, and NonConvergence, carrying the latest
-    log value of every point, when the levels run out
-    (``tol.max_refinements`` or the sample budget) first.
+    ``tol`` defaults to ``PROFILE_TOL``.  Each point is integrated about
+    the centre of the module's one rule.  Each centre kind (v* and the
+    origin) runs the levels of one scheme sized for its worst point, from
+    ``_BASE_NODES`` per axis.  A point stops, keeping that level's value,
+    once its log value is finite at both of its last two levels and they
+    differ by at most ``tol.rel_tol``, or is finite at neither; only the
+    points that need a deeper level pay for it.  Raises DivergentTail
+    when the shifted integral diverges and NonConvergence, carrying the
+    latest log value of every point (NaN where no level ran), when the
+    levels run out (``tol.max_refinements`` or the sample budget) first.
     """
+    w = np.asarray(points, dtype=complex).ravel()
+    tol = tol or PROFILE_TOL
     c, growth = _decay_and_growth(pair, power)
     weight = pair.weight_symbol
     a, b = pair.psi.a, pair.psi.b
@@ -186,8 +197,8 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
 
     def scheme(linear: float):
         return build_scheme(c, tol, growth, linear_bound=linear,
-                            poly_degree_cap=cap, radial_count=radial_count,
-                            angular_count=angular_count)
+                            poly_degree_cap=cap, radial_count=_BASE_NODES,
+                            angular_count=_BASE_NODES)
 
     # v* solves c conj(v) = beta / 2 + gamma v; the divergence margin
     # keeps |gamma| below c.
@@ -230,24 +241,6 @@ def _log_transform(pair: SymbolPair, power: float, w: np.ndarray,
         raise NonConvergence("transform levels ran out before log agreement",
                              value=logs + log_pref)
     return logs + log_pref
-
-
-def berezin_log_profile(pair: SymbolPair, power: float, points,
-                        tol: Tolerance | None = None,
-                        radial_count: int = 48,
-                        angular_count: int = 48) -> np.ndarray:
-    """log B(w) at each point of ``points``, to ``tol.rel_tol`` log-accuracy.
-
-    ``tol`` defaults to ``PROFILE_TOL``.  Each point is integrated about
-    the centre of the module's one rule and refined until its own last two
-    levels agree; only the points that need a deeper level pay for it.
-    Raises DivergentTail when the shifted integral diverges and
-    NonConvergence, carrying the latest log value of every point (NaN
-    where no level ran), when refinement runs out.
-    """
-    pts = np.asarray(points, dtype=complex).ravel()
-    return _log_transform(pair, power, pts, tol or PROFILE_TOL,
-                          radial_count, angular_count)
 
 
 def berezin_at(pair: SymbolPair, power: float, w: complex,
@@ -406,8 +399,7 @@ def _annulus(pair: SymbolPair, power: float,
     else:
         pts, wts = _segment_nodes(r_edge * (2.0 ** (k - 1)),
                                   r_edge * (2.0 ** k), radial=12, angular=24)
-    logb = berezin_log_profile(pair, power, pts, tol=_ANNULUS_TOL,
-                               radial_count=32, angular_count=32)
+    logb = berezin_log_profile(pair, power, pts, tol=_ANNULUS_TOL)
     if store is not None:
         store[key] = wts, logb
     return wts, logb
@@ -451,7 +443,7 @@ def berezin_power_integral(pair: SymbolPair, power: float,
         if k == 0:
             total = seg
             continue
-        if seg <= max(_MARCH_ABS, _MARCH_REL * max(total, _MARCH_ABS)):
+        if seg <= _MARCH_REL * total:
             return total + seg, "converged"
         rho = seg / prev_sum if prev_sum and prev_sum > 0 else None
         total += seg

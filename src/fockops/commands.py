@@ -137,8 +137,8 @@ _PAIR = {**_SCHEMA,
          "map": (_MAP, None),
          "alpha": (_POSITIVE, 1.0)}
 # Count caps bound the work a valid config can ask for: a 256 x 256
-# berezin profile of g = z takes about 20 s.  max_refinements needs none,
-# since the sample budget ends refinement by the 2048 x 2048 level.
+# berezin profile of g = z takes about 4 s on 2 vCPUs.  max_refinements
+# needs none: the sample budget ends refinement by the 2048 x 2048 level.
 _GRID = _object({"w_max": (_POSITIVE, None),
                  "radial_count": (_num(2, 256, integer=True), None),
                  "angular_count": (_num(4, 256, integer=True), None),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -233,7 +234,7 @@ class SymbolPair:
         return cls(kind="weighted", symbol=u,
                    psi=psi if psi is not None else AffineMap(1.0), alpha=alpha)
 
-    @property
+    @cached_property
     def weight_symbol(self) -> Symbol:
         """The entire factor of the weight: g' for volterra, u for weighted."""
         if self.kind == "volterra":

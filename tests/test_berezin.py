@@ -108,7 +108,7 @@ def mp_transform(pair, power, w, radial, about=0.0):
 
 
 # g' = z - 0.9 at power 1: the transform near the kink of |g'| at the zero
-# of g' needs the third level (192 x 192 samples) on the default rule,
+# of g' needs the fourth level (192 x 192 samples) on the default rule,
 # points far from it stop earlier.
 DEEP_PAIR = SymbolPair.volterra(Symbol.polynomial([0.0, -0.9, 0.5]))
 
@@ -410,10 +410,32 @@ class TestEvaluator:
         single = [berezin_log_profile(pair, 2.0, [w])[0] for w in points]
         np.testing.assert_array_equal(logs, single)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda: berezin_log_profile(DEEP_PAIR, 1.0,
+                                    GridSpec().points(1.0).ravel()),
+        lambda: berezin._annulus(DEEP_PAIR, 1.0, 0),
+        lambda: berezin_at(DEEP_PAIR, 1.0, 0.8),
+    ], ids=["profile", "annulus", "at"])
+    def test_levels_start_at_24_by_24_and_double(self, monkeypatch,
+                                                  evaluate):
+        nodes = []  # (radial, angular) node counts of each level evaluated
+        level = berezin._log_level
+
+        def spy(pair, power, v, lam, scheme):
+            nodes.append((scheme.radial_nodes.size, scheme.angular_count))
+            return level(pair, power, v, lam, scheme)
+
+        monkeypatch.setattr(berezin, "_log_level", spy)
+        evaluate()
+        assert nodes[:2] == [(24, 24), (48, 48)]
+        # each centre kind starts its own levels at the base
+        for prev, cur in zip(nodes, nodes[1:]):
+            assert cur in ((24, 24), (2 * prev[0], 2 * prev[1]))
+
     def test_budget_error_keeps_converged_values(self, monkeypatch):
         points = GridSpec(radial_count=8, angular_count=8).points(1.0).ravel()
         full = berezin_log_profile(DEEP_PAIR, 1.0, points)
-        # Level 1 (96 x 96) still fits, level 2 (192 x 192) does not.
+        # Level 2 (96 x 96) still fits, level 3 (192 x 192) does not.
         monkeypatch.setattr(quadrature, "_SAMPLE_BUDGET", 96 * 96)
         with pytest.raises(NonConvergence) as info:
             berezin_log_profile(DEEP_PAIR, 1.0, points)
@@ -470,6 +492,23 @@ class TestWeightScaling:
         for lam in self.SCALES:
             cls = classify_berezin(self.scaled(pair, lam), 2.0, 2.0,
                                    schatten_orders=orders)
+            assert verdicts(cls) == verdicts(base)
+            np.testing.assert_allclose(cls.norm_estimate,
+                                       abs(lam) * base.norm_estimate,
+                                       rtol=1e-9)
+
+    @pytest.mark.parametrize("pair", [SymbolPair.volterra(Z)]
+                             + PURE_EXPONENTIAL + POINT_DEPENDENT)
+    def test_power_integral_norm_scales(self, pair):
+        # p > q reads the norm off the power integral, whose march must
+        # stop on a floor relative to its own sum
+        def verdicts(cls):
+            return cls.bounded, cls.compact
+
+        base = classify_berezin(pair, 4.0, 2.0)
+        assert math.isfinite(base.norm_estimate)
+        for lam in (1e-3, 1e3):
+            cls = classify_berezin(self.scaled(pair, lam), 4.0, 2.0)
             assert verdicts(cls) == verdicts(base)
             np.testing.assert_allclose(cls.norm_estimate,
                                        abs(lam) * base.norm_estimate,

@@ -180,7 +180,7 @@ class TestBudget:
     """Refinement that ends on the sample budget builds no larger table.
 
     The last level within 2^22 samples is 2048 x 2048 on the 64-node base
-    of ``gaussian_integral`` and 1536 x 1536 on the transform's 48-node
+    of ``gaussian_integral`` and 1536 x 1536 on the transform's 24-node
     base.
     """
 
