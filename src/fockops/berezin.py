@@ -25,15 +25,20 @@ and gamma = power q2; its stationary point
 (conj(a) w for a polynomial weight) leaves the zeta-integrand without a
 linear tilt, so it never sees the large cancelling exponents of the
 defining formula and B is computable at any |w|.  The one exception is
-the metric kink of the integral kind at z = 0: a point whose v*-centred
-truncation disk holds it is centred at 0 instead, where the radial
-variable resolves the kink exactly.
+the metric kink of the integral kind at z = 0.  A point is centred at 0
+instead, where the radial variable resolves the kink exactly, when its
+v*-centred truncation disk holds the kink and the kink's log weight
+relative to the peak at v* exceeds log(rel_tol) - 7 (``_kink_matters``);
+a lighter kink cannot move log B by rel_tol, and the smooth rule about
+v* needs fewer and cheaper samples than the tilted one about 0.
 
 The points of each centre kind share one quadrature scheme, sized for
 their worst point, and run its levels (``QuadratureScheme.levels``).
-Profiles, ``berezin_at`` and the power integral's annuli share one coarse
-24 x 24 base, so their levels are 24 * 2^k per axis: the rule converges
-exponentially, and a point exact at 48 x 48 need not confirm at 96 x 96.
+Profiles, ``berezin_at`` and the power integral's annuli share one level
+lattice, 12 * 2^k per axis.  A scheme starts at 12 x 12 where that rule
+integrates the bare radial Gaussian r e^(-c r^2) over its disk to
+rel_tol, else at 24 x 24: the rule converges exponentially, so a smooth
+point exact at 24 x 24 need not confirm at 48 x 48.
 Each point stops on its own: once its log value is finite at its last two
 levels and they agree within the relative tolerance, or is finite at
 neither, it keeps that level's value and later levels evaluate only the
@@ -79,11 +84,16 @@ _DIVERGENCE_MARGIN = 0.02
 # Log-accuracy of a profile point unless the caller sets its own tolerance.
 PROFILE_TOL = Tolerance(rel_tol=1e-4)
 
-# Nodes per axis of every transform's first level.  Gauss-Legendre
-# converges exponentially, so a point is often exact to rounding at
-# 48 x 48; a 24 x 24 start lets it stop there instead of confirming at
-# 96 x 96.  The levels 24 * 2^k hold the 48 * 2^k ones.
-_BASE_NODES = 24
+# Nodes per axis of the coarsest first level.  Gauss-Legendre converges
+# exponentially, so a smooth v*-centred point is often exact at 24 x 24;
+# a 12 x 12 start lets it stop there.  A scheme starts at 12 x 12 only
+# where that rule already integrates the bare Gaussian to the tolerance,
+# else at 24 x 24; the levels 12 * 2^k hold the 24 * 2^k ones.
+_BASE_NODES = 12
+
+# A metric-weighted point keeps the origin centre only if the kink's log
+# weight relative to its peak exceeds log(rel_tol) - _KINK_MARGIN.
+_KINK_MARGIN = 7.0
 
 # berezin_power_integral: stop tolerance, annulus cap, annulus log accuracy.
 _MARCH_REL = 1e-4
@@ -172,6 +182,35 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
     return out
 
 
+def _kink_matters(poly, power: float, c: float, beta, gamma, v,
+                  tol: Tolerance) -> np.ndarray:
+    """Whether the metric kink at 0 can move log B of a v*-centred point.
+
+    Its log weight relative to the peak at v* is
+    -E(v*) + power (log B0 - log |P(v*)| + log1p |v*|), with
+    E(z) = Re(beta z) + Re(gamma z^2) - c |z|^2 the exponent's quadratic
+    part and B0 = sum |p_k| c^(-k/2) a bound on |P| near 0.  It matters
+    above log(tol.rel_tol) - _KINK_MARGIN, so always where P(v*) = 0.
+    """
+    coeffs = np.asarray(poly)
+    b0 = np.sum(np.abs(coeffs) * c ** (-0.5 * np.arange(coeffs.size)))
+    peak = np.real(beta * v + gamma * v * v) - c * np.abs(v) ** 2
+    # np.polyval, not _POLY: row counts on _POLY then see samples only.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_v = np.log(np.abs(np.polyval(coeffs[::-1], v)))
+        kink = -peak + power * (np.log(b0) - at_v + np.log1p(np.abs(v)))
+    return kink > math.log(tol.rel_tol) - _KINK_MARGIN
+
+
+def _first_level(base, tol: Tolerance):
+    """``base`` if its radial rule integrates r e^(-c r^2) over [0, R] to
+    ``tol.rel_tol``, else ``base.refined(1)``."""
+    r = base.radial_nodes
+    exact = -math.expm1(-base.decay * base.radius ** 2) / (2.0 * base.decay)
+    got = float(np.dot(base.radial_weights, np.exp(-base.decay * r * r)))
+    return base if abs(got - exact) <= tol.rel_tol * exact else base.refined(1)
+
+
 def berezin_log_profile(pair: SymbolPair, power: float, points,
                         tol: Tolerance | None = None) -> np.ndarray:
     """log B(w) at each point of ``points``, to ``tol.rel_tol`` log-accuracy.
@@ -179,10 +218,12 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
     ``tol`` defaults to ``PROFILE_TOL``.  Each point is integrated about
     the centre of the module's one rule.  Each centre kind (v* and the
     origin) runs the levels of one scheme sized for its worst point, from
-    ``_BASE_NODES`` per axis.  A point stops, keeping that level's value,
-    once its log value is finite at both of its last two levels and they
-    differ by at most ``tol.rel_tol``, or is finite at neither; only the
-    points that need a deeper level pay for it.  Raises DivergentTail
+    ``_BASE_NODES`` per axis or twice that (``_first_level``), and
+    ``tol.max_refinements`` counts doublings from that first level.  A
+    point stops, keeping that level's value, once its log value is finite
+    at both of its last two levels and they differ by at most
+    ``tol.rel_tol``, or is finite at neither; only the points that need a
+    deeper level pay for it.  Raises DivergentTail
     when the shifted integral diverges and NonConvergence, carrying the
     latest log value of every point (NaN where no level ran), when the
     levels run out (``tol.max_refinements`` or the sample budget) first.
@@ -208,6 +249,9 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
          / (2.0 * (c * c - abs(gamma) ** 2)))
     star = scheme(0.0)
     origin = pair.has_metric_factor & (np.abs(v) <= star.radius)
+    if origin.any():
+        origin[origin] = _kink_matters(weight.poly, power, c, beta[origin],
+                                       gamma, v[origin], tol)
     v[origin] = 0.0
     # The tilt is beta about 0 and vanishes at v*.
     lam = np.where(origin, beta, 0.0)
@@ -222,7 +266,7 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
         if not active.size:
             continue
         linear = float(np.max(np.abs(lam[active])))
-        base = scheme(linear) if linear else star
+        base = _first_level(scheme(linear) if linear else star, tol)
         for level, sch in enumerate(base.levels(tol.max_refinements)):
             cur = _log_level(pair, power, v[active], lam[active], sch)
             prev = logs[active]

@@ -137,7 +137,7 @@ _PAIR = {**_SCHEMA,
          "map": (_MAP, None),
          "alpha": (_POSITIVE, 1.0)}
 # Count caps bound the work a valid config can ask for: a 256 x 256
-# berezin profile of g = z takes about 4 s on 2 vCPUs.  max_refinements
+# berezin profile of g = z takes about 2.5 s on 2 vCPUs.  max_refinements
 # needs none: the sample budget ends refinement by the 2048 x 2048 level.
 _GRID = _object({"w_max": (_POSITIVE, None),
                  "radial_count": (_num(2, 256, integer=True), None),

@@ -10,6 +10,7 @@ import pytest
 from fockops import berezin, quadrature
 from fockops.bands import HS_DIRECT_RATIO_BAND, SUBHARMONIC_LOWER
 from fockops.berezin import (
+    PROFILE_TOL,
     GridSpec,
     berezin_at,
     berezin_log_profile,
@@ -143,6 +144,34 @@ def spy_rows(monkeypatch):
     monkeypatch.setattr(berezin, "_POLY", types.SimpleNamespace(polyval=count))
     monkeypatch.setattr(berezin, "_log_level", spy)
     return levels
+
+
+def spy_levels(monkeypatch, record):
+    """[record(v, lam, scheme)] of each level to come."""
+    levels = []
+    level = berezin._log_level
+
+    def spy(pair, power, v, lam, scheme):
+        levels.append(record(v, lam, scheme))
+        return level(pair, power, v, lam, scheme)
+
+    monkeypatch.setattr(berezin, "_log_level", spy)
+    return levels
+
+
+def spy_centres(monkeypatch):
+    """The centres v of the points of each level to come."""
+    return spy_levels(monkeypatch, lambda v, lam, scheme: v.copy())
+
+
+def spy_nodes(monkeypatch):
+    """(radial, angular) node counts of each level to come."""
+    return spy_levels(monkeypatch, lambda v, lam, scheme: (
+        scheme.radial_nodes.size, scheme.angular_count))
+
+
+def level_samples(scheme):
+    return scheme.radial_nodes.size * scheme.angular_count
 
 
 class TestPointValues:
@@ -281,6 +310,52 @@ class TestFarPoints:
         assert peak < 32 * 2 ** 20
 
 
+class TestKinkRule:
+    """A Volterra point leaves the origin centre for v* only where the
+    metric kink at 0 is too light for the tolerance to see."""
+
+    @pytest.mark.parametrize("x", [2.5, 3.5, 4.5, 6.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_volterra_points_match_mpmath(self, monkeypatch, alpha, x):
+        # g = z at power 2, so c = alpha, v* = w and |w| sqrt(c) = x.  The
+        # kink drops below the margin between x = 3.5 and 4.5 at
+        # PROFILE_TOL, and between 4.5 and 6 at Tolerance().
+        pair = SymbolPair.volterra(Z, alpha=alpha)
+        w = x / math.sqrt(alpha) * cmath.exp(0.7j)
+        if alpha == 1.0:
+            want = mp_identity_volterra(w)
+        else:
+            want = mp_transform(pair, 2.0, w, lambda r: (1 + r) ** -2)
+        centres = spy_centres(monkeypatch)
+        for tol, last_origin in ((PROFILE_TOL, 3.5), (Tolerance(), 4.5)):
+            centres.clear()
+            got = berezin_log_profile(pair, 2.0, [w], tol=tol)[0]
+            assert abs(got - math.log(want)) <= tol.rel_tol
+            assert (centres[0][0] == 0) == (x <= last_origin)
+
+    def test_zero_of_the_derivative_keeps_the_origin(self, monkeypatch):
+        # g' = z - 5: at w = 5 the weight vanishes at v* = w, so the kink
+        # outweighs the peak; at w = 5i it is e^(-22) below it.
+        pair = SymbolPair.volterra(Symbol.polynomial([0.0, -5.0, 0.5]))
+        centres = spy_centres(monkeypatch)
+        for w, centre in ((5.0, 0.0), (5.0j, 5.0j)):
+            centres.clear()
+            berezin_log_profile(pair, 2.0, [w])
+            assert centres[0][0] == centre
+
+    def test_origin_set_shrinks_as_the_tolerance_grows(self, monkeypatch):
+        points = np.linspace(2.0, 7.0, 41) * cmath.exp(0.3j)
+        centres = spy_centres(monkeypatch)
+        counts = []
+        for rel_tol in (1e-10, 1e-7, 1e-4, 1e-1):
+            centres.clear()
+            berezin_log_profile(SymbolPair.volterra(Z), 2.0, points,
+                                tol=Tolerance(rel_tol=rel_tol))
+            # v* = w is never 0 here, so only the origin's points have v = 0
+            counts.append(max(int(np.sum(v == 0)) for v in centres))
+        assert all(a > b for a, b in zip(counts, counts[1:])), counts
+
+
 class TestProfile:
     def test_grid_shape_and_header(self):
         prof = berezin_profile(flat_pair(), 2.0,
@@ -347,21 +422,20 @@ class TestEvaluator:
         np.testing.assert_array_equal(small, whole)
 
     def test_points_stop_on_their_own(self, monkeypatch):
-        calls = []  # (points, samples) of each level evaluated
-        level = berezin._log_level
-
-        def spy(pair, power, v, lam, scheme):
-            calls.append((v.size,
-                          scheme.radial_nodes.size * scheme.angular_count))
-            return level(pair, power, v, lam, scheme)
-
-        monkeypatch.setattr(berezin, "_log_level", spy)
+        # (points, samples, tilted) of each level evaluated
+        calls = spy_levels(monkeypatch, lambda v, lam, scheme: (
+            v.size, level_samples(scheme), bool(np.any(lam))))
         near = 0.8 * np.exp(2j * np.pi * np.arange(6) / 6)
         points = np.concatenate([near, [3.0, 5.0j, -8.0, 2.0 + 2.0j]])
         logs = berezin_log_profile(DEEP_PAIR, 1.0, points)
-        assert calls[0][0] == points.size
-        assert 0 < calls[-1][0] < points.size
-        assert calls[-1][1] == 192 * 192
+        # each centre kind's first level evaluates all of its points
+        firsts = {}
+        for size, _, tilted in calls:
+            firsts.setdefault(tilted, size)
+        assert sum(firsts.values()) == points.size
+        size, samples, tilted = calls[-1]
+        assert 0 < size < firsts[tilted]
+        assert samples == 192 * 192
         # |g'| kinks at 0.9, which keeps 1e-9 out of reach within the budget
         reference = Tolerance(rel_tol=1e-8)
         for got, w in zip(logs, points):
@@ -411,32 +485,39 @@ class TestEvaluator:
         np.testing.assert_array_equal(logs, single)
 
     @pytest.mark.parametrize("evaluate", [
+        lambda: berezin_at(DEEP_PAIR, 1.0, 0.8),
+    ], ids=["at"])
+    def test_levels_start_at_24_by_24_and_double(self, monkeypatch,
+                                                  evaluate):
+        # at rel_tol 1e-8 the 12-node rule misses the bare Gaussian
+        nodes = spy_nodes(monkeypatch)
+        evaluate()
+        assert nodes[:2] == [(24, 24), (48, 48)]
+        for prev, cur in zip(nodes, nodes[1:]):
+            assert cur == (2 * prev[0], 2 * prev[1])
+
+    @pytest.mark.parametrize("evaluate", [
         lambda: berezin_log_profile(DEEP_PAIR, 1.0,
                                     GridSpec().points(1.0).ravel()),
         lambda: berezin._annulus(DEEP_PAIR, 1.0, 0),
-        lambda: berezin_at(DEEP_PAIR, 1.0, 0.8),
-    ], ids=["profile", "annulus", "at"])
-    def test_levels_start_at_24_by_24_and_double(self, monkeypatch,
+    ], ids=["profile", "annulus"])
+    def test_levels_start_at_12_by_12_and_double(self, monkeypatch,
                                                   evaluate):
-        nodes = []  # (radial, angular) node counts of each level evaluated
-        level = berezin._log_level
-
-        def spy(pair, power, v, lam, scheme):
-            nodes.append((scheme.radial_nodes.size, scheme.angular_count))
-            return level(pair, power, v, lam, scheme)
-
-        monkeypatch.setattr(berezin, "_log_level", spy)
+        nodes = spy_nodes(monkeypatch)
         evaluate()
-        assert nodes[:2] == [(24, 24), (48, 48)]
-        # each centre kind starts its own levels at the base
+        # the v* points run first, and at 1e-4 and 1e-3 their Gaussian
+        # is resolved by 12 nodes, so they start at 12 x 12
+        assert nodes[:2] == [(12, 12), (24, 24)]
+        # each centre kind starts its own levels at 12 x 12 or 24 x 24
         for prev, cur in zip(nodes, nodes[1:]):
-            assert cur in ((24, 24), (2 * prev[0], 2 * prev[1]))
+            assert cur in ((12, 12), (24, 24), (2 * prev[0], 2 * prev[1]))
 
     def test_budget_error_keeps_converged_values(self, monkeypatch):
         points = GridSpec(radial_count=8, angular_count=8).points(1.0).ravel()
         full = berezin_log_profile(DEEP_PAIR, 1.0, points)
-        # Level 2 (96 x 96) still fits, level 3 (192 x 192) does not.
-        monkeypatch.setattr(quadrature, "_SAMPLE_BUDGET", 96 * 96)
+        # The origin points start at 24 x 24; 48 x 48 still fits, 96 x 96,
+        # which some of them need, does not.
+        monkeypatch.setattr(quadrature, "_SAMPLE_BUDGET", 48 * 48)
         with pytest.raises(NonConvergence) as info:
             berezin_log_profile(DEEP_PAIR, 1.0, points)
         value = info.value.value
@@ -454,6 +535,17 @@ class TestEvaluator:
             tracemalloc.stop()
         assert np.all(np.isfinite(prof.values))
         assert peak < 32 * 2 ** 20
+
+    def test_acceptance_profiles_keep_their_sample_count(self, monkeypatch):
+        # Sup profiles of the first five acceptance-family pairs at alpha 1
+        # took 5,186,304 point-samples when this bound was set (11,437,056
+        # with every kink-disk point on the origin and a 24 x 24 start).
+        counts = spy_levels(monkeypatch, lambda v, lam, scheme:
+                            v.size * level_samples(scheme))
+        points = GridSpec().points(1.0).ravel()
+        for pair in random_volterra_family(50, seed=1729)[:5]:
+            berezin_log_profile(pair, 2.0, points)
+        assert sum(counts) <= 1.1 * 5_186_304
 
 
 class TestWeightScaling:
@@ -513,6 +605,29 @@ class TestWeightScaling:
             np.testing.assert_allclose(cls.norm_estimate,
                                        abs(lam) * base.norm_estimate,
                                        rtol=1e-9)
+
+
+class TestRotation:
+    """h(z) = e^{i theta} g(e^{i phi} z) has |h'(z)| = |g'(e^{i phi} z)|,
+    so B_h(e^{-i phi} w) = B_g(w) and h has g's verdicts."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_turned_symbol_turns_the_transform(self, alpha):
+        rng = np.random.default_rng(7)
+        points = GridSpec().points(alpha).ravel()
+        for pair in random_volterra_family(4, seed=11, alpha=alpha):
+            theta, phi = rng.uniform(0.0, 2.0 * np.pi, 2)
+            coeffs = np.asarray(pair.symbol.poly)
+            turned = SymbolPair.volterra(Symbol.polynomial(
+                coeffs * np.exp(1j * (theta + phi * np.arange(coeffs.size)))),
+                alpha=alpha)
+            np.testing.assert_allclose(
+                berezin_log_profile(turned, 2.0, points * cmath.exp(-1j * phi)),
+                berezin_log_profile(pair, 2.0, points),
+                rtol=0, atol=PROFILE_TOL.rel_tol)
+            want = classify_berezin(pair, 2.0, 2.0)
+            got = classify_berezin(turned, 2.0, 2.0)
+            assert (got.bounded, got.compact) == (want.bounded, want.compact)
 
 
 class TestPowerIntegral:
