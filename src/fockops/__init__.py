@@ -15,8 +15,7 @@ SCHEMA = "v1"  # the CLI's config and artifact schema
 # access reads the submodule's live binding; nothing is copied here.
 _HOME = {name: module for module, names in {
     "berezin": "BerezinProfile GridSpec berezin_at berezin_power_integral"
-               " berezin_profile hilbert_schmidt_integral"
-               " vanishes_at_infinity",
+               " berezin_profile hilbert_schmidt_integral",
     "criteria": "Classification ConsistencyReport Verdict classify_berezin"
                 " consistency_report oracle_classify random_volterra_family"
                 " schatten_membership",

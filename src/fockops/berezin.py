@@ -62,8 +62,8 @@ import numpy as np
 
 from . import quadrature
 from .errors import DivergentTail, NonConvergence
-from .quadrature import Tolerance, _leggauss, build_scheme, gaussian_integral
-from .symbols import SymbolPair, weight_at
+from .quadrature import Tolerance, _leggauss, build_scheme
+from .symbols import SymbolPair
 
 __all__ = [
     "GridSpec",
@@ -71,7 +71,6 @@ __all__ = [
     "berezin_at",
     "berezin_log_profile",
     "berezin_profile",
-    "vanishes_at_infinity",
     "berezin_power_integral",
     "hilbert_schmidt_integral",
 ]
@@ -100,8 +99,9 @@ _MARCH_REL = 1e-4
 _MAX_ANNULI = 12
 _ANNULUS_TOL = Tolerance(rel_tol=1e-3)
 
-# vanishes_at_infinity: outer ring below _VANISH_EPS * max(sup, floor).
-_VANISH_EPS, _VANISH_FLOOR = 1e-4, 1e-30
+# _tail_exponent: ring slopes within _TAIL_BAND * power of each other and
+# of a multiple of power read as that power law.
+_TAIL_BAND = 0.25
 
 _POLY = np.polynomial.polynomial
 
@@ -339,10 +339,6 @@ class BerezinProfile:
     def sup(self) -> float:
         return float(np.max(self.values))
 
-    @property
-    def tail_max(self) -> float:
-        return float(np.max(self.values[-1]))
-
     def csv_rows(self):
         """(w_re, w_im, value) rows for plotting, header included."""
         yield ("w_re", "w_im", "value")
@@ -374,20 +370,6 @@ def berezin_profile(pair: SymbolPair, power: float,
                           values=values, unbounded=bool(np.any(np.isinf(values))))
 
 
-def vanishes_at_infinity(profile: BerezinProfile) -> tuple[bool, np.ndarray]:
-    """Strict decay test: small outer ring and non-increasing last rings.
-
-    Returns (verdict, ring maxima sequence as evidence).
-    """
-    if profile.unbounded:
-        raise ValueError("vanishing test requires a bounded profile")
-    rings = profile.ring_maxima
-    scale = max(profile.sup, _VANISH_FLOOR)
-    small = profile.tail_max < _VANISH_EPS * scale
-    monotone = bool(np.all(np.diff(rings[-3:]) <= 1e-12 * scale))
-    return small and monotone, rings
-
-
 def _segment_nodes(lo: float, hi: float, radial: int = 24,
                    angular: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Polar product nodes and area weights on the annulus lo < |w| < hi."""
@@ -408,7 +390,7 @@ _ANNULI: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def _shared_annuli():
-    """Evaluate each annulus once for all power integrals run inside.
+    """Evaluate each annulus and tail exponent once inside the scope.
 
     B on an annulus does not depend on the exponent s_exp.  The store
     ends with the scope, so the next scope evaluates its annuli afresh.
@@ -418,6 +400,65 @@ def _shared_annuli():
         yield
     finally:
         _ANNULI.reset(token)
+
+
+def _far_scale(pair: SymbolPair) -> float:
+    """A radius past which B follows its far-field law.
+
+    The largest of the Gaussian width 1 / sqrt(alpha), the Cauchy bound
+    1 + max |p_k / p_n| on the roots of the weight polynomial P, and 1 (the
+    kink of the metric factor 1 / (1 + |z|)) when the weight has one.
+    """
+    coeffs = np.abs(np.asarray(pair.weight_symbol.poly))
+    roots = 1.0 + np.max(coeffs[:-1]) / coeffs[-1] if coeffs.size > 1 else 0.0
+    kink = 1.0 if pair.has_metric_factor else 0.0
+    return max(1.0 / math.sqrt(pair.alpha), float(roots), kink)
+
+
+def _tail_exponent(pair: SymbolPair, power: float,
+                   tol: Tolerance | None = None) -> dict:
+    """The exponent kappa of B's far field, with the rings behind it.
+
+    log B is evaluated on rings of radius 10^2, 10^3 and 10^4 times
+    ``_far_scale`` at the default grid's angles.  When the per-decade
+    slopes of the ring maxima agree within ``_TAIL_BAND * power``, B grows
+    like |w|^kappa and kappa is the nearest multiple of power (for V_g
+    with the identity map, power (deg g - 2)); a slope farther than that
+    band from every multiple gives NaN.  Slopes that disagree mean
+    exponential growth or decay, kappa = +-inf by the outer slope's sign.
+    Levels that run out give NaN, and a weight whose Gaussian growth
+    reaches the decay (DivergentTail) +inf, each with a note.  Inside a
+    ``_shared_annuli`` scope the first result for (pair, power) is reused,
+    whatever ``tol`` later calls pass.
+    """
+    store = _ANNULI.get()
+    key = (pair, power, "tail")
+    if store is not None and key in store:
+        return store[key]
+    radii = np.array([1e2, 1e3, 1e4]) * _far_scale(pair)
+    points = np.multiply.outer(radii, np.exp(1j * GridSpec().angles()))
+    out = {"radii": radii.tolist(), "kappa": math.nan}
+    try:
+        logs = berezin_log_profile(pair, power, points.ravel(), tol=tol)
+    except DivergentTail as exc:
+        out.update(kappa=math.inf, note=str(exc))
+    except NonConvergence as exc:
+        out["note"] = str(exc)
+    else:
+        maxima = logs.reshape(points.shape).max(axis=1)
+        inner, outer = np.diff(maxima) / math.log(10.0)
+        band = _TAIL_BAND * power
+        if abs(outer - inner) <= band:  # False for NaN
+            snapped = power * round(outer / power)
+            if abs(outer - snapped) <= band:
+                out["kappa"] = float(snapped)
+        elif math.isfinite(inner + outer) and outer:
+            out["kappa"] = math.copysign(math.inf, outer)
+        out.update(log_maxima=maxima.tolist(),
+                   slopes=[float(inner), float(outer)])
+    if store is not None:
+        store[key] = out
+    return out
 
 
 def _annulus(pair: SymbolPair, power: float,
@@ -435,9 +476,10 @@ def _annulus(pair: SymbolPair, power: float,
         return store[key]
     c, _ = _decay_and_growth(pair, power)
     r_edge = 6.0 / math.sqrt(c)
-    # The inner disk holds the mass that decides convergent values, so it
-    # gets the dense rule; outer annuli only steer the ratio test and can
-    # run coarse.
+    # The inner disk holds most of a convergent value, so it gets the dense
+    # rule.  An outer annulus runs coarse: under a power law the closing
+    # annulus's sum, scaled by the exact tail ratio, carries the whole tail
+    # and so decides the value to about the closing annulus's accuracy.
     if k == 0:
         pts, wts = _segment_nodes(0.0, r_edge, radial=24, angular=32)
     else:
@@ -455,26 +497,39 @@ def berezin_power_integral(pair: SymbolPair, power: float,
 
     Returns (value, status) with status one of "converged", "diverged",
     "inconclusive".  Divergence is data here: the value is +inf and no
-    exception escapes.  The march compares consecutive annulus sums; a
-    ratio staying near or above 1 certifies divergence (the borderline
-    log-divergent case has ratio exactly 1), while a stable ratio below 1
-    is extrapolated geometrically.  Inside a ``_shared_annuli`` scope, as
-    in the Schatten loop of ``classify_berezin``, the integrals of one
-    (pair, power) evaluate each annulus once, whatever their exponents;
+    exception escapes.  B^s_exp grows like |w|^(s_exp kappa) with kappa
+    from ``_tail_exponent``, so the integral converges exactly when
+    s_exp kappa + 2 < 0; a diverging or unknown exponent marches no
+    annulus.  A converging one marches until an annulus adds at most
+    ``_MARCH_REL`` of the sum.  Under a power law (kappa finite) the
+    march closes after annulus 3, one more per doubling
+    of ``_far_scale`` past the Gaussian width 1 / sqrt(alpha), with the
+    geometric tail of ratio 2^(s_exp kappa + 2), the exact ratio of
+    consecutive annuli of |w|^(s_exp kappa).  Inside a ``_shared_annuli``
+    scope, as in ``classify_berezin``, the integrals of one (pair, power)
+    evaluate kappa and each annulus once, whatever their exponents;
     outside one every call evaluates its own.
     """
     if not (math.isfinite(s_exp) and s_exp > 0):
         raise ValueError("s_exp must be positive")
-    try:
-        _decay_and_growth(pair, power)
-    except DivergentTail:
-        return math.inf, "diverged"
+    if power <= 0:
+        raise ValueError("power must be positive")
     if pair.weight_symbol.is_zero:
         return 0.0, "converged"
+    exponent = s_exp * _tail_exponent(pair, power)["kappa"] + 2.0
+    if math.isnan(exponent):
+        return math.nan, "inconclusive"
+    if exponent >= 0:
+        return math.inf, "diverged"
+    ratio = 2.0 ** exponent  # 0 for exponential decay: no closing tail
+    # Annulus 3 starts at 24 / sqrt(c), 24 sqrt(2 / power) Gaussian widths
+    # out, where a power-law B^s_exp has settled to within a few percent of
+    # its tail ratio; each doubling of _far_scale past that width closes
+    # one annulus later.
+    spread = _far_scale(pair) * math.sqrt(pair.alpha)
+    closing = 3 + max(0, math.ceil(math.log2(spread) - 1e-9))
 
     total = 0.0
-    prev_sum = None
-    prev_rho = None
     for k in range(_MAX_ANNULI + 1):
         try:
             wts, logb = _annulus(pair, power, k)
@@ -483,50 +538,50 @@ def berezin_power_integral(pair: SymbolPair, power: float,
         with np.errstate(over="ignore"):
             seg = float(np.sum(wts * np.exp(s_exp * logb)))
         if not math.isfinite(seg):
-            return math.inf, "diverged"
-        if k == 0:
-            total = seg
-            continue
-        if seg <= _MARCH_REL * total:
+            return math.nan, "inconclusive"
+        if k and seg <= _MARCH_REL * total:
             return total + seg, "converged"
-        rho = seg / prev_sum if prev_sum and prev_sum > 0 else None
         total += seg
-        if rho is not None and prev_rho is not None:
-            if rho >= 0.92 and prev_rho >= 0.92:
-                return math.inf, "diverged"
-            if rho < 0.9 and abs(rho - prev_rho) <= 0.15 * rho:
-                return total + seg * rho / (1.0 - rho), "converged"
-        prev_sum = seg
-        prev_rho = rho
+        if ratio and k >= closing:
+            return total + seg * ratio / (1.0 - ratio), "converged"
     return total, "inconclusive"
 
 
 def hilbert_schmidt_integral(pair: SymbolPair) -> float:
     """integral of W(z)^2 exp(alpha (|psi(z)|^2 - |z|^2)) dm(z); +inf verdict.
 
-    Recentred as exp(alpha |b|^2) times a Gaussian integral with decay
-    alpha (1 - |a|^2), which keeps the exponential argument small whenever
-    the integral converges at all.
+    With W = |P e^q| (times 1 / (1 + |z|) for the integral kind) the
+    integrand is e^(alpha |b|^2 + 2 Re q0) times W0(z)^2 exp(Re(lam z))
+    exp(-alpha (1 - |a|^2) |z|^2), with W0 the weight without q0 and q1
+    and lam = 2 alpha a conj(b) + 2 q1.  That Gaussian integral is summed
+    about 0 by ``_log_level``, one level after another, until two log
+    values agree within ``Tolerance().rel_tol``, so no intermediate
+    overflows whenever the integral converges at all.
     """
     weight = pair.weight_symbol
     if weight.is_zero:
         return 0.0
+    tol = Tolerance()
     alpha = pair.alpha
     a, b = pair.psi.a, pair.psi.b
+    q0, q1, _ = weight.expo
     decay = alpha * (1.0 - abs(a) ** 2)
     growth = 2.0 * weight.gaussian_growth
     if decay <= 0 or growth >= decay * (1.0 - _DIVERGENCE_MARGIN):
         return math.inf
-    cross = 2.0 * alpha * a * np.conj(b)
-
-    def integrand(z):
-        return weight_at(pair, z) ** 2 * np.exp(np.real(cross * z))
-
-    linear = 2.0 * weight.linear_growth + float(abs(cross))
-    cap = 2 * weight.degree + 8
-    try:
-        res = gaussian_integral(integrand, decay, growth_bound=growth,
-                                linear_bound=linear, poly_degree_cap=cap)
-    except DivergentTail:
-        return math.inf
-    return float(math.exp(alpha * abs(b) ** 2) * res.value.real)
+    lam = np.array([2.0 * alpha * a * np.conj(b) + 2.0 * q1])
+    base = _first_level(build_scheme(
+        decay, tol, growth, linear_bound=float(abs(lam[0])),
+        poly_degree_cap=2 * weight.degree + 8, radial_count=_BASE_NODES,
+        angular_count=_BASE_NODES), tol)
+    prev = math.nan
+    for sch in base.levels(tol.max_refinements):
+        cur = float(_log_level(pair, 2.0, np.zeros(1), lam, sch)[0])
+        if abs(cur - prev) <= tol.rel_tol:
+            break
+        prev = cur
+    else:
+        raise NonConvergence("Hilbert-Schmidt levels ran out before log "
+                             "agreement")
+    with np.errstate(over="ignore"):
+        return float(np.exp(cur + alpha * abs(b) ** 2 + 2.0 * np.real(q0)))

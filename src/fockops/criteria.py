@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .berezin import (BerezinProfile, GridSpec, _shared_annuli,
+from .berezin import (GridSpec, _shared_annuli, _tail_exponent,
                       berezin_power_integral, berezin_profile,
-                      hilbert_schmidt_integral, vanishes_at_infinity)
+                      hilbert_schmidt_integral)
 from .errors import InvalidIntegrand, NonConvergence
 from .operator_rep import build_matrix, spectral_summary
 from .quadrature import Tolerance
@@ -32,22 +32,6 @@ class Verdict(enum.Enum):
     YES = "yes"
     NO = "no"
     INCONCLUSIVE = "inconclusive"
-
-
-# Ring-growth thresholds for the sup-profile classifier.  A tail ring may
-# exceed its predecessor by 5% before it counts as growth; a decelerating
-# sequence is extrapolated only when the Aitken denominator is safely away
-# from cancellation, and the extrapolated sup may not exceed 8x the last
-# ring before the answer degrades to inconclusive.
-_FLAT_RATIO = 1.05
-_DECELERATION = 0.97
-_AITKEN_GUARD = 0.05
-_AITKEN_CEILING = 8.0
-
-# Limit-fit thresholds for compactness: the extrapolated ring limit is
-# compared against the outermost ring maximum.
-_LIMIT_SMALL = 0.02
-_LIMIT_LARGE = 0.25
 
 
 @dataclass
@@ -105,94 +89,47 @@ def _reconcile(cls: Classification) -> Classification:
     return cls
 
 
-def _ring_triple(profile: BerezinProfile, w_ref: float):
-    radii = profile.radii
-    rings = profile.ring_maxima
-    idx = [int(np.argmin(np.abs(radii - t)))
-           for t in (0.5 * w_ref, w_ref, 2.0 * w_ref)]
-    return idx, radii[idx], rings[idx]
-
-
-def _fit_ring_limit(r: np.ndarray, v: np.ndarray) -> float:
-    """Limit of v(r) as r -> inf under the model A + B/r + C/r^2."""
-    m = np.vstack([np.ones(3), 1.0 / r, 1.0 / r ** 2]).T
-    return float(np.linalg.solve(m, v)[0])
-
-
 def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec,
                   tol: Tolerance | None) -> Classification:
-    w_ref = 0.5 * grid.resolve_w_max(pair.alpha)
+    """Bounded iff B stays bounded, compact iff B vanishes at infinity.
+
+    Both follow from the far-field exponent kappa of ``_tail_exponent``:
+    bounded iff kappa <= 0, compact iff kappa < 0.  The norm estimate is
+    the larger of the grid's sup and the far rings' maxima, the essential
+    norm's the farthest ring's maximum, each to the power 1/q.
+    """
     profile = berezin_profile(pair, q, grid=grid, tol=tol)
-    ev: dict = {"mode": "sup", "w_ref": w_ref,
-                "radii": profile.radii.tolist(),
+    ev: dict = {"mode": "sup", "radii": profile.radii.tolist(),
                 "ring_maxima": profile.ring_maxima.tolist()}
     if profile.unbounded:
         ev["note"] = profile.note
+        kappa = math.inf
+    else:
+        tail = ev["tail"] = _tail_exponent(pair, q, tol)
+        kappa = tail["kappa"]
+    if math.isnan(kappa):
+        return Classification(bounded=Verdict.INCONCLUSIVE,
+                              compact=Verdict.INCONCLUSIVE, evidence=ev)
+    if kappa > 0:
         return Classification(bounded=Verdict.NO, compact=Verdict.NO,
                               norm_estimate=math.inf,
                               essential_norm_estimate=math.inf, evidence=ev)
-
-    sup_raw = profile.sup
-    if sup_raw <= 1e-280:
-        ev["note"] = "transform vanishes identically"
-        return Classification(bounded=Verdict.YES, compact=Verdict.YES,
-                              norm_estimate=0.0, essential_norm_estimate=0.0,
-                              evidence=ev)
-
-    idx, r3, v3 = _ring_triple(profile, w_ref)
-    if len(set(idx)) < 3:
-        ev["note"] = ("grid too coarse: w_ref/2, w_ref and 2 w_ref share a "
-                      f"nearest ring (rings {idx})")
-        return Classification(bounded=Verdict.INCONCLUSIVE,
-                              compact=Verdict.INCONCLUSIVE, evidence=ev)
-    g21 = v3[1] / max(v3[0], 1e-300)
-    g32 = v3[2] / max(v3[1], 1e-300)
-    ev.update(growth21=g21, growth32=g32)
-
-    bounded = Verdict.NO
-    sup_est = math.inf
-    if g32 <= _FLAT_RATIO:
-        bounded, sup_est = Verdict.YES, sup_raw
-    elif g32 < _DECELERATION * g21:
-        d1, d2 = v3[1] - v3[0], v3[2] - v3[1]
-        if d1 - d2 > _AITKEN_GUARD * d1 > 0:
-            limit = v3[2] + d2 * d2 / (d1 - d2)
-            ev["aitken_sup"] = limit
-            if limit <= _AITKEN_CEILING * v3[2]:
-                bounded, sup_est = Verdict.YES, max(limit, sup_raw)
-            else:
-                bounded, sup_est = Verdict.INCONCLUSIVE, math.nan
-
-    if bounded is not Verdict.YES:
-        return Classification(bounded=bounded, compact=Verdict.NO,
-                              norm_estimate=sup_est,
-                              essential_norm_estimate=sup_est, evidence=ev)
-
-    strict, _ = vanishes_at_infinity(profile)
-    ev["strict_vanishing"] = strict
-    tail = profile.tail_max
-    if strict:
-        compact = Verdict.YES
-    else:
-        limit0 = max(_fit_ring_limit(r3, v3), 0.0)
-        ev["limit_fit"] = limit0
-        if limit0 < max(_LIMIT_SMALL * v3[2], 1e-4 * sup_est):
-            compact = Verdict.YES
-        elif limit0 > _LIMIT_LARGE * v3[2]:
-            compact = Verdict.NO
-            tail = max(tail, limit0)
-        else:
-            compact = Verdict.INCONCLUSIVE
-    return Classification(bounded=Verdict.YES, compact=compact,
-                          norm_estimate=sup_est ** (1.0 / q),
-                          essential_norm_estimate=tail ** (1.0 / q),
-                          evidence=ev)
+    logs = tail["log_maxima"]
+    with np.errstate(divide="ignore", over="ignore"):
+        log_sup = max(float(np.log(profile.sup)), *logs)
+        norm, ess = np.exp(np.array([log_sup, logs[-1]]) / q)
+    return Classification(bounded=Verdict.YES,
+                          compact=Verdict.YES if kappa < 0 else Verdict.NO,
+                          norm_estimate=float(norm),
+                          essential_norm_estimate=float(ess), evidence=ev)
 
 
 def _classify_integral(pair: SymbolPair, p: float, q: float) -> Classification:
     s = p / (p - q)
+    tail = _tail_exponent(pair, q)
     value, status = berezin_power_integral(pair, q, s)
-    ev = {"mode": "integral", "s": s, "value": value, "status": status}
+    ev = {"mode": "integral", "s": s, "value": value, "status": status,
+          "tail": tail}
     if status == "converged":
         norm = value ** (1.0 / (s * q)) if value > 0 else 0.0
         return Classification(bounded=Verdict.YES, compact=Verdict.YES,
@@ -231,12 +168,13 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
                      schatten_orders=()) -> Classification:
     """Classify boundedness and compactness from the transform alone.
 
-    For p <= q the sup/vanishing behaviour of the transform over a
-    geometric ring grid decides; for p > q finiteness of the s-th power
-    integral (s the conjugate exponent of p/q) decides both at once.
-    Schatten verdicts are attached when p = q = 2 and orders are given;
-    the orders share one evaluation of each power-integral annulus, so
-    extra orders cost only their sums.  ``tol`` is the sup profile's,
+    For p <= q whether the transform stays bounded or vanishes at
+    infinity decides; for p > q finiteness of the s-th power integral (s
+    the conjugate exponent of p/q) decides both at once.  Both read B's
+    far-field exponent kappa, computed once per call.  Schatten verdicts
+    are attached when p = q = 2 and orders are given; the orders share
+    one evaluation of each power-integral annulus, so extra orders cost
+    only their sums.  ``tol`` is the sup profile's,
     ``berezin.PROFILE_TOL`` by default.  p, q and the orders must be
     finite and positive.
     """
@@ -248,24 +186,24 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
     if pair.weight_symbol.is_zero:
         return _zero_operator(schatten_orders, "berezin", {"mode": "zero"})
 
-    if p <= q:
-        span = grid if grid is not None else GridSpec()
-        wide = GridSpec(w_max=2.0 * span.resolve_w_max(pair.alpha),
-                        radial_count=span.radial_count,
-                        angular_count=span.angular_count,
-                        r_min=span.r_min)
-        cls = _classify_sup(pair, q, wide, tol)
-    else:
-        cls = _classify_integral(pair, p, q)
+    with _shared_annuli():
+        if p <= q:
+            span = grid if grid is not None else GridSpec()
+            wide = GridSpec(w_max=2.0 * span.resolve_w_max(pair.alpha),
+                            radial_count=span.radial_count,
+                            angular_count=span.angular_count,
+                            r_min=span.r_min)
+            cls = _classify_sup(pair, q, wide, tol)
+        else:
+            cls = _classify_integral(pair, p, q)
 
-    if schatten_orders and p == 2.0 and q == 2.0:
-        details = {}
-        with _shared_annuli():
+        if schatten_orders and p == 2.0 and q == 2.0:
+            details = {}
             for t in schatten_orders:
                 verdict, est, status = schatten_membership(pair, t)
                 cls.schatten[t] = verdict
                 details[t] = {"estimate": est, "status": status}
-        cls.evidence["schatten"] = details
+            cls.evidence["schatten"] = details
     return _reconcile(cls)
 
 

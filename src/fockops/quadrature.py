@@ -28,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,8 +83,10 @@ class Tolerance:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not (0.0 < self.abs_tol < 1.0):
             raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be non-negative")
+        if (not isinstance(self.max_refinements, numbers.Integral)
+                or self.max_refinements < 0):
+            raise ValueError("max_refinements must be a non-negative "
+                             f"integer, got {self.max_refinements!r}")
 
 
 @dataclass(frozen=True, eq=False)

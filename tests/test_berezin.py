@@ -17,7 +17,6 @@ from fockops.berezin import (
     berezin_power_integral,
     berezin_profile,
     hilbert_schmidt_integral,
-    vanishes_at_infinity,
 )
 from fockops.criteria import classify_berezin, random_volterra_family
 from fockops.errors import DivergentTail, NonConvergence
@@ -387,12 +386,6 @@ class TestProfile:
         assert prof.unbounded
         assert prof.note
 
-    def test_vanishing_tail_detection(self):
-        shrinking = berezin_profile(SymbolPair.weighted(ONE, AffineMap(0.5)), 2.0)
-        flat = berezin_profile(flat_pair(), 2.0)
-        assert vanishes_at_infinity(shrinking)[0]
-        assert not vanishes_at_infinity(flat)[0]
-
     def test_log_profile_agrees_with_point_evaluation(self):
         pair = SymbolPair.volterra(Z)
         points = np.array([0.5, 1.0 + 1.0j, 2.0])
@@ -640,6 +633,44 @@ class TestPowerIntegral:
         value, status = berezin_power_integral(SymbolPair.volterra(Z), 2.0, 0.5)
         assert status == "diverged"
         assert value == math.inf
+
+    @pytest.fixture
+    def marched(self, monkeypatch):
+        """Indices of the annuli the power integral evaluates."""
+        ks = []
+        original = berezin._annulus
+
+        def spy(pair, power, k):
+            ks.append(k)
+            return original(pair, power, k)
+
+        monkeypatch.setattr(berezin, "_annulus", spy)
+        return ks
+
+    @pytest.mark.parametrize("s_exp", [0.5, 1.0])
+    def test_a_diverging_exponent_marches_no_annulus(self, marched, s_exp):
+        # B ~ |w|^-2 for g = z, so s_exp <= 1 diverges, s_exp = 1 by a log
+        assert berezin_power_integral(SymbolPair.volterra(Z), 2.0, s_exp) \
+            == (math.inf, "diverged")
+        assert marched == []
+
+    def test_a_power_law_tail_closes_after_annulus_three(self, marched):
+        # 34.5172: annuli 0-16 summed, then the exact tail of ratio 2^-0.5
+        value, status = berezin_power_integral(SymbolPair.volterra(Z), 2.0,
+                                               1.25)
+        assert status == "converged"
+        assert marched == [0, 1, 2, 3]
+        np.testing.assert_allclose(value, 34.5172, rtol=0.02)
+
+    def test_the_tail_closes_past_the_metric_kink(self, marched):
+        # At alpha = 16 annulus 3 starts at |w| = 6, where 1 / (1 + |z|) is
+        # still far from |z|^-1; the far scale 1 = 4 / sqrt(alpha) closes
+        # two annuli later.  1.09336: closed after annulus 12 instead.
+        pair = SymbolPair.volterra(Z, alpha=16.0)
+        value, status = berezin_power_integral(pair, 2.0, 1.25)
+        assert status == "converged"
+        assert marched == [0, 1, 2, 3, 4, 5]
+        np.testing.assert_allclose(value, 1.09336, rtol=0.02)
 
     def test_zero_weight_short_circuits(self):
         pair = SymbolPair.volterra(ONE)  # g' = 0

@@ -15,7 +15,7 @@ from fockops.criteria import (
     random_volterra_family,
     schatten_membership,
 )
-from fockops.errors import InvalidIntegrand
+from fockops.errors import NonConvergence
 from fockops.symbols import AffineMap, Symbol, SymbolPair
 
 ONE = Symbol.polynomial([1.0])
@@ -77,19 +77,80 @@ class TestClassifySupremum:
     @pytest.mark.parametrize("grid", [GridSpec(radial_count=3),
                                       GridSpec(radial_count=5),
                                       GridSpec(w_max=0.1)])
-    def test_too_coarse_a_grid_is_inconclusive(self, grid):
-        # the three reference radii share a nearest ring, so there is no
-        # growth ratio to read and no limit to fit
-        cls = classify_berezin(SymbolPair.volterra(Z), 2.0, 2.0, grid=grid)
-        assert cls.bounded is Verdict.INCONCLUSIVE
-        assert cls.compact is Verdict.INCONCLUSIVE
-        assert "too coarse" in cls.evidence["note"]
+    def test_coarse_grid_still_classifies(self, grid):
+        # The verdicts come from the far rings, not from the grid, so even
+        # a grid this coarse gives the oracle's.
+        pair = SymbolPair.volterra(Z)
+        cls = classify_berezin(pair, 2.0, 2.0, grid=grid)
+        orc = oracle_classify(pair, 2.0, 2.0)
+        assert (cls.bounded, cls.compact) == (orc.bounded, orc.compact)
+        assert 0 < cls.essential_norm_estimate < cls.norm_estimate < math.inf
 
     def test_evidence_records_the_ring_data(self):
         cls = classify_berezin(SymbolPair.volterra(Z), 2.0, 2.0)
         assert "ring_maxima" in cls.evidence
-        assert "w_ref" in cls.evidence
+        tail = cls.evidence["tail"]
+        np.testing.assert_allclose(tail["radii"], [1e2, 1e3, 1e4])
+        assert len(tail["log_maxima"]) == 3
+        # B ~ pi |w|^-2 for g = z: two slopes near -2, kappa exactly -2
+        np.testing.assert_allclose(tail["slopes"], -2.0, atol=0.02)
+        assert tail["kappa"] == -2.0
+        np.testing.assert_allclose(cls.essential_norm_estimate,
+                                   math.exp(tail["log_maxima"][-1] / 2.0))
         assert cls.source == "berezin"
+
+    @pytest.mark.parametrize("pair,kappa", [
+        (SymbolPair.volterra(Symbol.polynomial([1.0, 3.0, 1.0])), 0.0),
+        (SymbolPair.volterra(Symbol.polynomial([0.0, 0.0, 0.0, 1.0])), 2.0),
+        (SymbolPair.weighted(ONE, AffineMap(1.0)), 0.0),
+        (SymbolPair.weighted(Z, AffineMap(1j)), 2.0),
+        (SymbolPair.weighted(ONE, AffineMap(0.5)), -math.inf),
+        (SymbolPair.weighted(ONE, AffineMap(1.0, 0.5)), math.inf),
+    ])
+    def test_tail_exponent_of_each_growth_kind(self, pair, kappa):
+        assert berezin._tail_exponent(pair, 2.0)["kappa"] == kappa
+
+    @pytest.mark.parametrize("coeffs,alpha,scale", [
+        ([0.0, 5000.0, 1.0], 0.5, 2501.0), ([0.0, 5000.0, 1.0], 2.0, 2501.0),
+        ([0.0, 0.0, 1.0], 1e6, 1.0), ([0.0, 1.0], 1e6, 1.0)])
+    def test_far_rings_lie_past_the_roots_and_the_metric_kink(
+            self, coeffs, alpha, scale):
+        # g' = 2z + 5000 has its root at -2500 (Cauchy bound 2501), and
+        # 1 / (1 + |z|) bends at |z| = 1: rings at 10^2 / sqrt(alpha) would
+        # read B before either settles into its power law.
+        pair = SymbolPair.volterra(Symbol.polynomial(coeffs), alpha=alpha)
+        cls = classify_berezin(pair, 2.0, 2.0)
+        orc = oracle_classify(pair, 2.0, 2.0)
+        assert (cls.bounded, cls.compact) == (orc.bounded, orc.compact)
+        np.testing.assert_allclose(cls.evidence["tail"]["radii"],
+                                   np.array([1e2, 1e3, 1e4]) * scale)
+
+    def test_a_slope_between_multiples_of_q_is_inconclusive(self,
+                                                           monkeypatch):
+        # B = |w| grows with slope 1, q / 2 away from 0 and from q = 2
+        monkeypatch.setattr(berezin, "berezin_log_profile",
+                            lambda pair, power, points, tol=None:
+                            np.log(np.abs(points)))
+        cls = classify_berezin(SymbolPair.volterra(Z), 2.0, 2.0,
+                               schatten_orders=(4.0,))
+        assert cls.evidence["tail"]["slopes"] == pytest.approx([1.0, 1.0])
+        assert math.isnan(cls.evidence["tail"]["kappa"])
+        assert cls.bounded is cls.compact is Verdict.INCONCLUSIVE
+        assert cls.schatten[4.0] is Verdict.INCONCLUSIVE
+
+    def test_far_rings_that_do_not_settle_are_inconclusive(self,
+                                                          monkeypatch):
+        original = berezin.berezin_log_profile
+
+        def unsettled(pair, power, points, tol=None):
+            if np.max(np.abs(points)) >= 100.0:
+                raise NonConvergence("levels ran out")
+            return original(pair, power, points, tol=tol)
+
+        monkeypatch.setattr(berezin, "berezin_log_profile", unsettled)
+        cls = classify_berezin(SymbolPair.volterra(Z), 2.0, 2.0)
+        assert "levels ran out" in cls.evidence["tail"]["note"]
+        assert cls.bounded is cls.compact is Verdict.INCONCLUSIVE
 
     @pytest.mark.parametrize("p,q", [(math.nan, 2.0), (math.inf, 2.0),
                                      (2.0, math.nan), (2.0, math.inf),
@@ -108,6 +169,14 @@ class TestClassifyIntegral:
         np.testing.assert_allclose(cls.norm_estimate,
                                    (np.pi ** 3 / 1.5) ** 0.25, rtol=1e-5)
         assert cls.essential_norm_estimate == 0.0
+
+    def test_weight_growth_reaching_the_decay_above_target_exponent(self):
+        # The transform integral diverges at every w: kappa = +inf.
+        pair = SymbolPair.weighted(Symbol.exponential(q2=0.6), AffineMap(1.0))
+        cls = classify_berezin(pair, 4.0, 2.0)
+        assert cls.bounded is cls.compact is Verdict.NO
+        assert cls.evidence["tail"]["kappa"] == math.inf
+        assert "diverges" in cls.evidence["tail"]["note"]
 
     def test_identity_above_target_exponent(self):
         cls = classify_berezin(SymbolPair.weighted(ONE, AffineMap(1.0)),
@@ -151,7 +220,8 @@ class TestSchatten:
 
 
 class TestSharedAnnuli:
-    ORDERS = (1.0, 2.0, 4.0)
+    # orders that march for g = z: S_t needs t > 2 there
+    ORDERS = (3.0, 4.0)
 
     @pytest.fixture
     def annulus_calls(self, monkeypatch):
@@ -304,14 +374,16 @@ class TestConsistencyReport:
         np.testing.assert_allclose(report.hs_ratios, np.pi, rtol=0.02)
 
     def test_overflowing_hs_integral_leaves_the_report_whole(self):
-        # The direct HS integral sums in linear space and overflows inside
-        # its disk, though its value is pi / sqrt(0.9975^2 - 0.96^2).
+        # The direct HS integrand exceeds the float range inside its disk;
+        # summed in log space it gives pi / sqrt(0.9975^2 - 0.96^2).
         pair = SymbolPair.weighted(Symbol.exponential(q2=0.48),
                                    AffineMap(0.05))
-        with pytest.raises(InvalidIntegrand):
-            berezin.hilbert_schmidt_integral(pair)
+        np.testing.assert_allclose(berezin.hilbert_schmidt_integral(pair),
+                                   math.pi / math.sqrt(0.9975 ** 2
+                                                       - 0.96 ** 2),
+                                   rtol=1e-12)
         report = consistency_report([pair], 2.0, 2.0, size=32)
         cls = report.entries[0]["classified"]
         assert (cls.bounded, cls.compact) == (Verdict.YES, Verdict.YES)
         assert set(cls.schatten.values()) == {Verdict.YES}
-        assert report.hs_ratios == []
+        assert len(report.hs_ratios) == 1

@@ -96,6 +96,9 @@ class TestTolerance:
         (dict(rel_tol=1.5), "rel_tol"),
         (dict(abs_tol=-1.0), "abs_tol"),
         (dict(max_refinements=-1), "max_refinements"),
+        (dict(max_refinements=2.5), "max_refinements"),
+        (dict(max_refinements=2.0), "max_refinements"),
+        (dict(max_refinements="3"), "max_refinements"),
     ])
     def test_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
