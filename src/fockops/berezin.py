@@ -328,8 +328,6 @@ class BerezinProfile:
     radii: np.ndarray
     angles: np.ndarray
     values: np.ndarray
-    unbounded: bool = False
-    note: str = ""
 
     @property
     def ring_maxima(self) -> np.ndarray:
@@ -352,22 +350,17 @@ class BerezinProfile:
 def berezin_profile(pair: SymbolPair, power: float,
                     grid: GridSpec | None = None,
                     tol: Tolerance | None = None) -> BerezinProfile:
-    """Evaluate the transform over the grid; divergence marks unbounded."""
+    """Evaluate the transform over the grid; a divergent one is +inf."""
     grid = grid or GridSpec()
-    radii = grid.radii(pair.alpha)
-    angles = grid.angles()
     pts = grid.points(pair.alpha)
     try:
         logb = berezin_log_profile(pair, power, pts.ravel(), tol=tol)
-    except DivergentTail as exc:
-        values = np.full(pts.shape, np.inf)
-        return BerezinProfile(pair=pair, power=power, radii=radii,
-                              angles=angles, values=values, unbounded=True,
-                              note=str(exc))
+    except DivergentTail:
+        logb = np.full(pts.size, np.inf)
     with np.errstate(over="ignore"):
         values = np.exp(logb).reshape(pts.shape)
-    return BerezinProfile(pair=pair, power=power, radii=radii, angles=angles,
-                          values=values, unbounded=bool(np.any(np.isinf(values))))
+    return BerezinProfile(pair=pair, power=power, radii=grid.radii(pair.alpha),
+                          angles=grid.angles(), values=values)
 
 
 def _segment_nodes(lo: float, hi: float, radial: int = 24,

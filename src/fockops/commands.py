@@ -281,15 +281,12 @@ def _run_sweep(cfg: dict, seed):
         row = {"index": entry["index"], **_classification_payload(cls)}
         if entry["oracle"] is not None:
             row["oracle"] = _classification_payload(entry["oracle"])
-        if "conflicts" in cls.evidence:
-            row["conflicts"] = cls.evidence["conflicts"]
         entries.append(row)
     payload = {
         "schema": SCHEMA, "command": "sweep", "p": p, "q": q, "size": size,
         "orders": orders, "family": family, "seed": seed,
         "comparisons": report.comparisons, "agreements": report.agreements,
         "mismatches": report.mismatches,
-        "lattice_conflicts": report.lattice_conflicts,
         "spectral_disagreements": report.spectral_disagreements,
         "op_norm_ratios": report.op_norm_ratios,
         "hs_ratios": report.hs_ratios,

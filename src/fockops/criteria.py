@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .berezin import (GridSpec, _shared_annuli, _tail_exponent,
                       berezin_power_integral, berezin_profile,
                       hilbert_schmidt_integral)
-from .errors import InvalidIntegrand, NonConvergence
+from .errors import NonConvergence
 from .operator_rep import build_matrix, spectral_summary
 from .quadrature import Tolerance
 from .symbols import Symbol, SymbolPair
@@ -57,56 +57,18 @@ def _zero_operator(schatten_orders, source: str,
                           source=source, evidence=evidence)
 
 
-def _reconcile(cls: Classification) -> Classification:
-    """Repair verdict-lattice violations, demoting to INCONCLUSIVE.
-
-    Order: compact YES forces bounded YES; bounded NO forces compact NO;
-    any Schatten YES needs compact YES; Schatten memberships are upward
-    monotone in the order.  A conflict between two definite verdicts is
-    softened on the side with weaker evidence (the implied one) and noted.
-    """
-    notes = cls.evidence.setdefault("conflicts", [])
-    if cls.compact is Verdict.YES and cls.bounded is Verdict.NO:
-        notes.append("compact=yes vs bounded=no; both demoted")
-        cls.compact = Verdict.INCONCLUSIVE
-        cls.bounded = Verdict.INCONCLUSIVE
-    if cls.bounded is Verdict.NO and cls.compact is not Verdict.NO:
-        cls.compact = Verdict.NO
-    any_schatten_yes = any(v is Verdict.YES for v in cls.schatten.values())
-    if any_schatten_yes and cls.compact is Verdict.NO:
-        notes.append("schatten=yes vs compact=no; schatten demoted")
-        for t, v in cls.schatten.items():
-            if v is Verdict.YES:
-                cls.schatten[t] = Verdict.INCONCLUSIVE
-    orders = sorted(cls.schatten)
-    for lo, hi in zip(orders, orders[1:]):
-        if (cls.schatten[lo] is Verdict.YES
-                and cls.schatten[hi] is Verdict.NO):
-            notes.append(f"schatten monotonicity broken at {lo}->{hi}")
-            cls.schatten[hi] = Verdict.INCONCLUSIVE
-    if not notes:
-        cls.evidence.pop("conflicts", None)
-    return cls
-
-
-def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec,
-                  tol: Tolerance | None) -> Classification:
+def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec | None,
+                  tol: Tolerance | None, tail: dict) -> Classification:
     """Bounded iff B stays bounded, compact iff B vanishes at infinity.
 
     Both follow from the far-field exponent kappa of ``_tail_exponent``:
-    bounded iff kappa <= 0, compact iff kappa < 0.  The norm estimate is
-    the larger of the grid's sup and the far rings' maxima, the essential
-    norm's the farthest ring's maximum, each to the power 1/q.
+    bounded iff kappa <= 0, compact iff kappa < 0.  Only a bounded pair
+    evaluates the sup profile, over the grid with its radius doubled: the
+    norm estimate is the larger of its sup and the far rings' maxima, the
+    essential norm's the farthest ring's maximum, each to the power 1/q.
     """
-    profile = berezin_profile(pair, q, grid=grid, tol=tol)
-    ev: dict = {"mode": "sup", "radii": profile.radii.tolist(),
-                "ring_maxima": profile.ring_maxima.tolist()}
-    if profile.unbounded:
-        ev["note"] = profile.note
-        kappa = math.inf
-    else:
-        tail = ev["tail"] = _tail_exponent(pair, q, tol)
-        kappa = tail["kappa"]
+    kappa = tail["kappa"]
+    ev: dict = {"mode": "sup", "tail": tail}
     if math.isnan(kappa):
         return Classification(bounded=Verdict.INCONCLUSIVE,
                               compact=Verdict.INCONCLUSIVE, evidence=ev)
@@ -114,6 +76,11 @@ def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec,
         return Classification(bounded=Verdict.NO, compact=Verdict.NO,
                               norm_estimate=math.inf,
                               essential_norm_estimate=math.inf, evidence=ev)
+    grid = grid or GridSpec()
+    wide = replace(grid, w_max=2.0 * grid.resolve_w_max(pair.alpha))
+    profile = berezin_profile(pair, q, grid=wide, tol=tol)
+    ev.update(radii=profile.radii.tolist(),
+              ring_maxima=profile.ring_maxima.tolist())
     logs = tail["log_maxima"]
     with np.errstate(divide="ignore", over="ignore"):
         log_sup = max(float(np.log(profile.sup)), *logs)
@@ -124,23 +91,26 @@ def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec,
                           essential_norm_estimate=float(ess), evidence=ev)
 
 
-def _classify_integral(pair: SymbolPair, p: float, q: float) -> Classification:
-    s = p / (p - q)
-    tail = _tail_exponent(pair, q)
-    value, status = berezin_power_integral(pair, q, s)
-    ev = {"mode": "integral", "s": s, "value": value, "status": status,
-          "tail": tail}
+def _integral_verdict(value: float, status: str, root: float):
+    """(verdict, estimate) of a power integral: YES with value^(1 / root)
+    when it converged, NO with +inf when it diverged, else INCONCLUSIVE."""
     if status == "converged":
-        norm = value ** (1.0 / (s * q)) if value > 0 else 0.0
-        return Classification(bounded=Verdict.YES, compact=Verdict.YES,
-                              norm_estimate=norm, essential_norm_estimate=0.0,
-                              evidence=ev)
+        return Verdict.YES, value ** (1.0 / root) if value > 0 else 0.0
     if status == "diverged":
-        return Classification(bounded=Verdict.NO, compact=Verdict.NO,
-                              norm_estimate=math.inf,
-                              essential_norm_estimate=math.inf, evidence=ev)
-    return Classification(bounded=Verdict.INCONCLUSIVE,
-                          compact=Verdict.INCONCLUSIVE, evidence=ev)
+        return Verdict.NO, math.inf
+    return Verdict.INCONCLUSIVE, math.nan
+
+
+def _classify_integral(pair: SymbolPair, p: float, q: float,
+                       tail: dict) -> Classification:
+    s = p / (p - q)
+    value, status = berezin_power_integral(pair, q, s)
+    verdict, norm = _integral_verdict(value, status, s * q)
+    return Classification(
+        bounded=verdict, compact=verdict, norm_estimate=norm,
+        essential_norm_estimate=0.0 if verdict is Verdict.YES else norm,
+        evidence={"mode": "integral", "s": s, "value": value,
+                  "status": status, "tail": tail})
 
 
 def schatten_membership(pair: SymbolPair, order: float):
@@ -154,12 +124,7 @@ def schatten_membership(pair: SymbolPair, order: float):
     if not (math.isfinite(order) and order > 0):
         raise ValueError("order must be positive")
     value, status = berezin_power_integral(pair, 2.0, 0.5 * order)
-    if status == "converged":
-        est = value ** (1.0 / order) if value > 0 else 0.0
-        return Verdict.YES, est, status
-    if status == "diverged":
-        return Verdict.NO, math.inf, status
-    return Verdict.INCONCLUSIVE, math.nan, status
+    return (*_integral_verdict(value, status, order), status)
 
 
 def classify_berezin(pair: SymbolPair, p: float, q: float,
@@ -170,13 +135,13 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
 
     For p <= q whether the transform stays bounded or vanishes at
     infinity decides; for p > q finiteness of the s-th power integral (s
-    the conjugate exponent of p/q) decides both at once.  Both read B's
-    far-field exponent kappa, computed once per call.  Schatten verdicts
-    are attached when p = q = 2 and orders are given; the orders share
-    one evaluation of each power-integral annulus, so extra orders cost
-    only their sums.  ``tol`` is the sup profile's,
-    ``berezin.PROFILE_TOL`` by default.  p, q and the orders must be
-    finite and positive.
+    the conjugate exponent of p/q) decides both at once.  Every verdict
+    derives from B's far-field exponent kappa, read first, once per call.
+    Schatten verdicts are attached when p = q = 2 and orders are given;
+    the orders share kappa and each power-integral annulus, so extra
+    orders cost only their sums.  ``tol`` is that of kappa's rings and the
+    sup profile, ``berezin.PROFILE_TOL`` by default.  p, q and the orders
+    must be finite and positive.
     """
     if not (math.isfinite(p) and math.isfinite(q) and p > 0 and q > 0):
         raise ValueError("exponents must be positive")
@@ -187,15 +152,11 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
         return _zero_operator(schatten_orders, "berezin", {"mode": "zero"})
 
     with _shared_annuli():
+        tail = _tail_exponent(pair, q, tol)
         if p <= q:
-            span = grid if grid is not None else GridSpec()
-            wide = GridSpec(w_max=2.0 * span.resolve_w_max(pair.alpha),
-                            radial_count=span.radial_count,
-                            angular_count=span.angular_count,
-                            r_min=span.r_min)
-            cls = _classify_sup(pair, q, wide, tol)
+            cls = _classify_sup(pair, q, grid, tol, tail)
         else:
-            cls = _classify_integral(pair, p, q)
+            cls = _classify_integral(pair, p, q, tail)
 
         if schatten_orders and p == 2.0 and q == 2.0:
             details = {}
@@ -204,7 +165,7 @@ def classify_berezin(pair: SymbolPair, p: float, q: float,
                 cls.schatten[t] = verdict
                 details[t] = {"estimate": est, "status": status}
             cls.evidence["schatten"] = details
-    return _reconcile(cls)
+    return cls
 
 
 # Boundary bands inside which the closed-form families refuse to answer,
@@ -350,7 +311,6 @@ class ConsistencyReport:
     comparisons: int
     agreements: int
     mismatches: list
-    lattice_conflicts: list
     spectral_disagreements: list
     op_norm_ratios: list
     hs_ratios: list
@@ -358,7 +318,7 @@ class ConsistencyReport:
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches and not self.lattice_conflicts
+        return not self.mismatches
 
 
 def _verdicts_disagree(lhs: Verdict, rhs: Verdict) -> bool:
@@ -375,7 +335,7 @@ def consistency_report(pairs, p: float, q: float, size: int = 128,
     Norm ratios are collected for the equivalence-band regression; a pair
     whose direct HS integral fails to converge or overflows adds none.
     """
-    mismatches, conflicts, spectral_dis = [], [], []
+    mismatches, spectral_dis = [], []
     op_ratios, hs_ratios, entries = [], [], []
     comparisons = agreements = 0
     want_schatten = p == 2.0 and q == 2.0
@@ -385,8 +345,6 @@ def consistency_report(pairs, p: float, q: float, size: int = 128,
         orc = oracle_classify(pair, p, q, schatten_orders=orders)
         entry = {"index": i, "classified": cls, "oracle": orc}
         entries.append(entry)
-        if "conflicts" in cls.evidence:
-            conflicts.append((i, cls.evidence["conflicts"]))
         if orc is not None:
             for attr in ("bounded", "compact"):
                 lhs, rhs = getattr(cls, attr), getattr(orc, attr)
@@ -423,7 +381,7 @@ def consistency_report(pairs, p: float, q: float, size: int = 128,
                 op_ratios.append(summary.op_norm / cls.norm_estimate)
             try:
                 direct = hilbert_schmidt_integral(pair)
-            except (NonConvergence, InvalidIntegrand):
+            except NonConvergence:
                 direct = math.nan
             hs_partial = summary.schatten.get(2.0)
             if math.isfinite(direct) and summary.hs_norm > 0 \
@@ -431,7 +389,6 @@ def consistency_report(pairs, p: float, q: float, size: int = 128,
                 hs_ratios.append(direct / summary.hs_norm ** 2)
     return ConsistencyReport(comparisons=comparisons, agreements=agreements,
                              mismatches=mismatches,
-                             lattice_conflicts=conflicts,
                              spectral_disagreements=spectral_dis,
                              op_norm_ratios=op_ratios, hs_ratios=hs_ratios,
                              entries=entries)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .berezin import berezin_at
+from .errors import NonConvergence
 from .fock_core import basis_log_norm
 from .quadrature import Tolerance, _leggauss, build_scheme, tail_radius
 from .symbols import SymbolPair
@@ -74,7 +75,9 @@ def build_matrix(pair: SymbolPair, size: int) -> TruncatedOperator:
     """Matrix entries M[m][n] = <T e_n, e_m>, exact for polynomial symbols.
 
     Basis normalisation is applied in log space so the n!-sized scale
-    factors never overflow on the way to an entry of moderate size.
+    factors never overflow on the way to an entry of moderate size.  Raises
+    NonConvergence when an entry is still not finite: the linear-space
+    Taylor coefficients of u psi^n overflowed before normalisation.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
@@ -84,8 +87,11 @@ def build_matrix(pair: SymbolPair, size: int) -> TruncatedOperator:
     mag = np.abs(raw)
     log_mag = np.full_like(mag, -np.inf)
     np.log(mag, out=log_mag, where=mag > 0)
-    phase = np.divide(raw, mag, out=np.zeros_like(raw), where=mag > 0)
-    entries = phase * np.exp(log_mag + shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.divide(raw, mag, out=np.zeros_like(raw), where=mag > 0)
+        entries = phase * np.exp(log_mag + shift)
+    if not np.all(np.isfinite(entries)):
+        raise NonConvergence(f"matrix entries overflow at size {size}")
     return TruncatedOperator(pair=pair, size=size, entries=entries)
 
 

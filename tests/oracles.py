@@ -1,7 +1,8 @@
 """Closed-form references for the p = 2 Fock space, used only by the tests.
 
 The basis vectors, reproducing kernels and exact polynomial inner products
-below are independent of the quadrature routes they check.
+below are independent of the quadrature routes they check; the verdict
+lattice is the order every classification must respect.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import math
 
 import numpy as np
 
+from fockops.criteria import Verdict
 from fockops.fock_core import basis_log_norm
 from fockops.symbols import Symbol
 
@@ -68,3 +70,23 @@ def poly_inner(f: Symbol, g: Symbol, alpha: float) -> complex:
     moments = np.exp([math.lgamma(k + 1) - k * math.log(alpha)
                       for k in range(n)])
     return complex(np.sum(fa * np.conj(ga) * moments))
+
+
+def lattice_breaks(cls) -> list:
+    """The verdict-lattice rules a classification breaks, as labels.
+
+    Bounded NO forces compact NO, compact YES forces bounded YES, an S_t
+    YES forces compact YES and S_t' YES or INCONCLUSIVE for every t' > t.
+    """
+    breaks = []
+    if cls.bounded is Verdict.NO and cls.compact is not Verdict.NO:
+        breaks.append("bounded no, compact not no")
+    if cls.compact is Verdict.YES and cls.bounded is not Verdict.YES:
+        breaks.append("compact yes, bounded not yes")
+    members = [t for t, v in cls.schatten.items() if v is Verdict.YES]
+    if members and cls.compact is not Verdict.YES:
+        breaks.append("schatten yes, compact not yes")
+    breaks += [f"schatten yes at {min(members)}, no at {t}"
+               for t, v in cls.schatten.items()
+               if members and v is Verdict.NO and t > min(members)]
+    return breaks

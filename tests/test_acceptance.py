@@ -19,7 +19,7 @@ from fockops.operator_rep import (build_matrix, kernel_image_norm,
                                   toeplitz_crosscheck)
 from fockops.quadrature import gaussian_integral
 from fockops.symbols import AffineMap, Symbol, SymbolPair
-from oracles import kernel_coefficients
+from oracles import kernel_coefficients, lattice_breaks
 
 ONE = Symbol.polynomial([1.0])
 Z = Symbol.polynomial([0.0, 1.0])
@@ -46,7 +46,7 @@ def report(capsys):
 def family_results():
     family = random_volterra_family(50, seed=1729)
     return [(pair,
-             classify_berezin(pair, 2.0, 2.0),
+             classify_berezin(pair, 2.0, 2.0, schatten_orders=(1.0, 2.0, 4.0)),
              oracle_classify(pair, 2.0, 2.0))
             for pair in family]
 
@@ -177,11 +177,7 @@ def test_criterion_10_norm_equivalence_bands(report):
 def test_criterion_11_verdict_lattice(report, family_results):
     ok = True
     for _, cls, _ in family_results:
-        if cls.bounded is Verdict.NO:
-            ok &= cls.compact is Verdict.NO
-        if cls.compact is Verdict.YES:
-            ok &= cls.bounded is Verdict.YES
-        ok &= "conflicts" not in cls.evidence
+        ok &= lattice_breaks(cls) == []
     orders = (1.0, 2.0, 3.0, 4.0)
     verdicts = [schatten_membership(SymbolPair.volterra(Z), t)[0]
                 for t in orders]

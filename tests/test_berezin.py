@@ -373,18 +373,18 @@ class TestProfile:
         # the grid starts at r_min, so the sup sits on the innermost ring
         assert prof.sup == pytest.approx(np.pi * np.exp(-0.75 * 0.25 ** 2),
                                          rel=1e-4)
-        assert not prof.unbounded
+        assert np.all(np.isfinite(prof.values))
 
     def test_expanding_map_grows_toward_the_rim(self):
         prof = berezin_profile(SymbolPair.weighted(ONE, AffineMap(1.2)), 2.0)
         rings = prof.ring_maxima
         assert rings[-1] > 10 * rings[0]
 
-    def test_divergent_exponential_weight_flags_unbounded(self):
+    def test_divergent_exponential_weight_is_infinite(self):
         u = Symbol.exponential(0.0, 0.0, 0.6)
         prof = berezin_profile(SymbolPair.weighted(u, AffineMap(1.0)), 2.0)
-        assert prof.unbounded
-        assert prof.note
+        assert np.all(np.isposinf(prof.values))
+        assert prof.sup == math.inf
 
     def test_log_profile_agrees_with_point_evaluation(self):
         pair = SymbolPair.volterra(Z)

@@ -184,7 +184,7 @@ class TestSweepCommand:
         report = ConsistencyReport(
             comparisons=1, agreements=0,
             mismatches=[(0, "bounded", Verdict.YES, Verdict.NO)],
-            lattice_conflicts=[], spectral_disagreements=[],
+            spectral_disagreements=[],
             op_norm_ratios=[], hs_ratios=[], entries=[])
         monkeypatch.setattr(commands, "consistency_report",
                             lambda *args, **kwargs: report)
@@ -402,6 +402,15 @@ class TestExitCodes:
         data = dict(CONTRACTION, q=2.0)
         assert run_cli(tmp_path, "berezin", data) == code
         assert "boom" in capsys.readouterr().err
+
+    def test_overflowing_matrix_exits_three(self, tmp_path, capsys):
+        weyl = {"schema": "v1", "kind": "weighted",
+                "symbol": {"prefactor": [1.0], "exponent": [-0.5, 1.0]},
+                "map": {"a": 1.0, "b": -1.0}, "size": 256}
+        assert run_cli(tmp_path, "schatten", weyl, "--no-cache") == 3
+        err = capsys.readouterr().err
+        assert "computation did not settle" in err
+        assert "Traceback" not in err
 
     def test_unmeetable_norm_tolerance_exits_three(self, tmp_path, capsys):
         data = {"schema": "v1", "symbol": [1.0, 0.5], "p": 2.0,

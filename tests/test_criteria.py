@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fockops import berezin
+from fockops import berezin, criteria
 from fockops.berezin import GridSpec
 from fockops.criteria import (
-    Classification,
     Verdict,
-    _reconcile,
     classify_berezin,
     consistency_report,
     oracle_classify,
@@ -21,6 +19,20 @@ from fockops.symbols import AffineMap, Symbol, SymbolPair
 ONE = Symbol.polynomial([1.0])
 Z = Symbol.polynomial([0.0, 1.0])
 Z2 = Symbol.polynomial([0.0, 0.0, 1.0])
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Pairs whose sup profile a classify evaluated."""
+    calls = []
+    original = criteria.berezin_profile
+
+    def spy(pair, power, **kwargs):
+        calls.append(pair)
+        return original(pair, power, **kwargs)
+
+    monkeypatch.setattr(criteria, "berezin_profile", spy)
+    return calls
 
 
 class TestClassifySupremum:
@@ -125,8 +137,8 @@ class TestClassifySupremum:
         np.testing.assert_allclose(cls.evidence["tail"]["radii"],
                                    np.array([1e2, 1e3, 1e4]) * scale)
 
-    def test_a_slope_between_multiples_of_q_is_inconclusive(self,
-                                                           monkeypatch):
+    def test_a_slope_between_multiples_of_q_is_inconclusive(
+            self, monkeypatch, profile_calls):
         # B = |w| grows with slope 1, q / 2 away from 0 and from q = 2
         monkeypatch.setattr(berezin, "berezin_log_profile",
                             lambda pair, power, points, tol=None:
@@ -137,6 +149,7 @@ class TestClassifySupremum:
         assert math.isnan(cls.evidence["tail"]["kappa"])
         assert cls.bounded is cls.compact is Verdict.INCONCLUSIVE
         assert cls.schatten[4.0] is Verdict.INCONCLUSIVE
+        assert profile_calls == []
 
     def test_far_rings_that_do_not_settle_are_inconclusive(self,
                                                           monkeypatch):
@@ -265,39 +278,29 @@ class TestSharedAnnuli:
         assert berezin._ANNULI.get() is None
 
 
-class TestReconcile:
-    def test_compact_yes_with_bounded_no_demotes_both(self):
-        cls = _reconcile(Classification(bounded=Verdict.NO,
-                                        compact=Verdict.YES))
-        assert cls.bounded is Verdict.INCONCLUSIVE
-        assert cls.compact is Verdict.INCONCLUSIVE
-        assert cls.evidence["conflicts"]
+class TestSupProfileOnlyForBoundedPairs:
+    @pytest.mark.parametrize("pair", [
+        SymbolPair.volterra(Symbol.polynomial([0.0, 0.0, 0.0, 1.0])),
+        SymbolPair.weighted(Symbol.exponential(0.0, 0.0, 0.6),
+                            AffineMap(1.0)),
+    ])
+    def test_an_unbounded_pair_skips_it(self, profile_calls, pair):
+        cls = classify_berezin(pair, 2.0, 2.0)
+        assert cls.evidence["tail"]["kappa"] > 0
+        assert cls.bounded is cls.compact is Verdict.NO
+        assert cls.norm_estimate == cls.essential_norm_estimate == math.inf
+        assert profile_calls == []
+        assert "ring_maxima" not in cls.evidence
 
-    def test_bounded_no_forces_compact_no(self):
-        cls = _reconcile(Classification(bounded=Verdict.NO,
-                                        compact=Verdict.INCONCLUSIVE))
-        assert cls.compact is Verdict.NO
-
-    def test_schatten_yes_needs_compactness(self):
-        cls = _reconcile(Classification(bounded=Verdict.YES,
-                                        compact=Verdict.NO,
-                                        schatten={2.0: Verdict.YES}))
-        assert cls.schatten[2.0] is Verdict.INCONCLUSIVE
-
-    def test_schatten_monotone_in_the_order(self):
-        cls = _reconcile(Classification(bounded=Verdict.YES,
-                                        compact=Verdict.YES,
-                                        schatten={1.0: Verdict.YES,
-                                                  4.0: Verdict.NO}))
-        assert cls.schatten[4.0] is Verdict.INCONCLUSIVE
-
-    def test_consistent_input_passes_through(self):
-        cls = _reconcile(Classification(bounded=Verdict.YES,
-                                        compact=Verdict.YES,
-                                        schatten={2.0: Verdict.NO,
-                                                  4.0: Verdict.YES}))
-        assert cls.schatten == {2.0: Verdict.NO, 4.0: Verdict.YES}
-        assert "conflicts" not in cls.evidence
+    @pytest.mark.parametrize("pair", [
+        SymbolPair.volterra(Z),
+        SymbolPair.weighted(ONE, AffineMap(0.5)),
+    ])
+    def test_a_bounded_pair_evaluates_it_once(self, profile_calls, pair):
+        cls = classify_berezin(pair, 2.0, 2.0)
+        assert cls.bounded is Verdict.YES
+        assert profile_calls == [pair]
+        assert len(cls.evidence["ring_maxima"]) == GridSpec().radial_count
 
 
 class TestOracles:

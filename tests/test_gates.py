@@ -2,8 +2,10 @@
 
 A definite verdict that contradicts the closed-form oracle, or that an
 exact symmetry of the operator changes, fails its gate; INCONCLUSIVE is
-allowed and counted.  Each gate prints one summary line to the real
-terminal, so a run shows the INCONCLUSIVE counts even under capture.
+allowed and counted.  Every classification a gate draws must also respect
+the verdict lattice (``oracles.lattice_breaks``).  Each gate prints one
+summary line to the real terminal, so a run shows the INCONCLUSIVE counts
+even under capture.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from fockops.criteria import (Verdict, classify_berezin, oracle_classify,
                               random_volterra_family)
 from fockops.symbols import Symbol, SymbolPair
+from oracles import lattice_breaks
 
 SEEDS = (1, 2, 3, 4, 5)
 ALPHAS = (0.5, 1.0, 2.0)
@@ -43,8 +46,9 @@ def sup_classified():
 
 
 def test_sup_verdicts_match_the_oracle(capsys, sup_classified):
-    wrong, inconclusive, checked = [], 0, 0
+    wrong, broken, inconclusive, checked = [], [], 0, 0
     for seed, alpha, dmax, pair, cls in sup_classified:
+        broken += [(seed, alpha, dmax, b) for b in lattice_breaks(cls)]
         orc = oracle_classify(pair, 2.0, 2.0)
         for attr in ("bounded", "compact"):
             lhs, rhs = getattr(cls, attr), getattr(orc, attr)
@@ -55,10 +59,11 @@ def test_sup_verdicts_match_the_oracle(capsys, sup_classified):
     _summary(capsys, "sup vs oracle", checked, wrong, inconclusive)
     assert checked == 720
     assert wrong == []
+    assert broken == []
 
 
 def test_schatten_verdicts_match_the_oracle(capsys):
-    wrong, inconclusive, checked = [], 0, 0
+    wrong, broken, inconclusive, checked = [], [], 0, 0
     for alpha in ALPHAS:
         pairs = [SymbolPair.volterra(Symbol.polynomial([0.0, 1.0]),
                                      alpha=alpha)]
@@ -68,6 +73,7 @@ def test_schatten_verdicts_match_the_oracle(capsys):
         for i, pair in enumerate(pairs):
             cls = classify_berezin(pair, 2.0, 2.0,
                                    schatten_orders=SCHATTEN_ORDERS)
+            broken += [(alpha, i, b) for b in lattice_breaks(cls)]
             orc = oracle_classify(pair, 2.0, 2.0,
                                   schatten_orders=SCHATTEN_ORDERS)
             for t in SCHATTEN_ORDERS:
@@ -78,6 +84,7 @@ def test_schatten_verdicts_match_the_oracle(capsys):
     _summary(capsys, "schatten vs oracle", checked, wrong, inconclusive)
     assert checked == 3 * 17 * len(SCHATTEN_ORDERS)
     assert wrong == []
+    assert broken == []
 
 
 def _conjugated(pair: SymbolPair) -> SymbolPair:
@@ -103,11 +110,12 @@ def _dilated(pair: SymbolPair, t: float) -> SymbolPair:
 def test_symmetric_pairs_share_their_verdicts(capsys, request,
                                               sup_classified, relation):
     # the degree_max = 5 families hold every degree from 1 to 5
-    wrong, inconclusive, checked = [], 0, 0
+    wrong, broken, inconclusive, checked = [], [], 0, 0
     for seed, alpha, dmax, pair, cls in sup_classified:
         if dmax != 5:
             continue
         image = classify_berezin(relation(pair), 2.0, 2.0)
+        broken += [(seed, alpha, b) for b in lattice_breaks(image)]
         for attr in ("bounded", "compact"):
             lhs, rhs = getattr(cls, attr), getattr(image, attr)
             checked += 1
@@ -118,3 +126,4 @@ def test_symmetric_pairs_share_their_verdicts(capsys, request,
              inconclusive)
     assert checked == 2 * len(SEEDS) * len(ALPHAS) * PAIRS_PER_FAMILY
     assert wrong == []
+    assert broken == []

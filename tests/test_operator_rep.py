@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockops.errors import NonConvergence
 from fockops.operator_rep import (
     _weighted_power_series,
     build_matrix,
@@ -57,6 +58,20 @@ class TestBuildMatrix:
     def test_entries_stay_finite_for_large_sizes(self):
         op = build_matrix(SymbolPair.volterra(Z), 256)
         assert np.all(np.isfinite(op.entries))
+
+    # the Weyl unitary f -> e^(z - 1/2) f(z - 1) at alpha 1
+    WEYL = SymbolPair.weighted(Symbol.exponential(-0.5, 1.0),
+                               AffineMap(1.0, -1.0))
+
+    def test_overflowing_entries_raise(self):
+        # the Taylor coefficients of u psi^n overflow before normalisation
+        with pytest.raises(NonConvergence, match="overflow at size 256"):
+            build_matrix(self.WEYL, 256)
+
+    def test_unitary_compression_up_to_size_128_is_finite(self):
+        op = build_matrix(self.WEYL, 128)
+        assert np.all(np.isfinite(op.entries))
+        assert singular_values(op)[0] <= 1.0 + 1e-8
 
 
 def product_columns(pair, size, rows):
