@@ -49,6 +49,15 @@ whole level.  Untilted points whose centres cannot change the samples
 (all are 0, or P is constant without the metric factor: about v* a
 weight u0 e^q leaves power (log |u0| + Re(q2 zeta^2)) at every w) share
 one row of samples per level, whatever their number.
+
+A 2-D ``points`` array is read a ring per row, and a row
+w_r0 e^(2 pi i j / J), j < J, is a ring, as in the profile grid, the
+annuli and the far rings.  Its origin-centred points share their samples
+too (``_ring_level``): on the uniform angular rule a turn by whole node
+spacings is an index shift, so a level exponentiates the shared terms
+once, a ring one kernel row per gcd(M, J) points, and each point's sum
+is a lagged matrix product, with no exp, log or polyval of its own.
+1-D points and ``berezin_at`` keep the tilted route.
 """
 
 from __future__ import annotations
@@ -103,6 +112,10 @@ _ANNULUS_TOL = Tolerance(rel_tol=1e-3)
 # of a multiple of power read as that power law.
 _TAIL_BAND = 0.25
 
+# A ring point whose log value lies this far below its sub-ring's bound
+# may have lost terms under e^-708 of it to underflow (``_ring_level``).
+_RING_FLOOR = 650.0
+
 _POLY = np.polynomial.polynomial
 
 
@@ -119,6 +132,32 @@ def _decay_and_growth(pair: SymbolPair, power: float) -> tuple[float, float]:
     return c, growth
 
 
+def _shared_terms(pair: SymbolPair, power: float, scheme,
+                  centred: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The level's nodes zeta and the exponent terms its points share;
+    about zero centres (not ``centred``) these include P and the metric."""
+    weight = pair.weight_symbol
+    q2 = weight.expo[2]
+    zeta, bare = scheme.complex_nodes()
+    radial = -scheme.decay * scheme.radial_nodes ** 2
+    if pair.has_metric_factor and not centred:
+        radial -= power * np.log1p(scheme.radial_nodes)
+    # complex_nodes returns fresh arrays; reusing the weights' buffer keeps
+    # the level's peak memory at that of the samples.
+    shared = np.log(bare, out=bare)
+    shared += np.repeat(radial, scheme.angular_count)
+    if q2 != 0:
+        shared += power * np.real(q2 * zeta * zeta)
+    if not centred:
+        # Zero centres sample P at the nodes, and a constant P is the
+        # same anywhere, so its terms join the shared ones per level.
+        with np.errstate(divide="ignore"):
+            log_p = np.log(np.abs(_POLY.polyval(zeta, weight.poly)))
+        log_p *= power
+        shared += log_p
+    return zeta, shared
+
+
 def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
                lam: np.ndarray, scheme) -> np.ndarray:
     """log of the zeta-integral about each centre v at one scheme level.
@@ -129,35 +168,16 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
     bounds the per-point temporaries but not the level-wide shared terms.
     A centre acts only through P and the metric factor; see the module.
     """
-    weight = pair.weight_symbol
-    coeffs = np.asarray(weight.poly)
-    q2 = weight.expo[2]
-    zeta, bare = scheme.complex_nodes()
-    centred = bool(np.any(v)) and (weight.degree >= 1
+    coeffs = np.asarray(pair.weight_symbol.poly)
+    centred = bool(np.any(v)) and (pair.weight_symbol.degree >= 1
                                    or pair.has_metric_factor)
     tilted = bool(np.any(lam))
-    # Centre-independent terms once per level, the radial ones once per
-    # radius: the Gaussian, and the metric factor when every centre is 0.
-    radial = -scheme.decay * scheme.radial_nodes ** 2
-    if pair.has_metric_factor and not centred:
-        radial -= power * np.log1p(scheme.radial_nodes)
-    # complex_nodes returns fresh arrays; reusing the weights' buffer keeps
-    # the level's peak memory at that of the samples.
-    shared = np.log(bare, out=bare)
-    shared += np.repeat(radial, scheme.angular_count)
-    if q2 != 0:
-        shared += power * np.real(q2 * zeta * zeta)
+    zeta, shared = _shared_terms(pair, power, scheme, centred)
     out = np.empty(v.size, dtype=float)
     # Untilted, uncentred points (``centred`` above) share one row.
     chunk = (max(1, quadrature._CHUNK // zeta.size) if centred or tilted
              else max(1, v.size))
     with np.errstate(divide="ignore"):
-        if not centred:
-            # Zero centres sample P at the nodes, and a constant P is the
-            # same anywhere, so its terms join the shared ones per level.
-            log_p = np.log(np.abs(_POLY.polyval(zeta, coeffs)))
-            log_p *= power
-            shared += log_p
         for lo in range(0, v.size, chunk):
             hi = lo + chunk
             if centred:
@@ -179,6 +199,65 @@ def _log_level(pair: SymbolPair, power: float, v: np.ndarray,
             safe = np.where(finite, peak, 0.0)
             sums = np.exp(total - safe[:, None]).sum(axis=1)
             out[lo:hi] = np.where(finite, safe + np.log(sums), -np.inf)
+    return out
+
+
+def _ring_level(pair: SymbolPair, power: float, rings: np.ndarray,
+                idx: np.ndarray, scheme) -> np.ndarray:
+    """log of the zeta-integral about 0 at the points ``idx`` = r J + j of
+    ``rings``, whose row r is w_r0 e^(2 pi i j / J).
+
+    With power Re(q1 zeta) among the level-wide terms s, the tilt
+    lambda = 2 c a conj(w) turns with w, and at M angles a ring splits into
+    sub-rings of g = gcd(M, J) points M / g nodes apart.  With
+    t_i = max_k s_ik + |lambda| rho_i and T = max_i t_i, point l of a
+    sub-ring is T + log sum_ik A_i,k+lM/g G_ik: A_ik = e^(s_ik - max_k s_ik)
+    serves the level, G_ik = exp(|lambda| rho_i (cos(phi_k + arg lambda)
+    - 1) + t_i - T) the sub-ring.  No factor exceeds 1 and no term cancels;
+    a point over ``_RING_FLOOR`` below T may have lost terms to underflow
+    and takes ``_log_level``'s route.
+    """
+    J, count = rings.shape[1], scheme.angular_count
+    q1 = pair.weight_symbol.expo[1]
+    tilt = power * pair.alpha * pair.psi.a * np.conj(rings)  # 2 c a conj(w)
+    g = math.gcd(count, J)
+    step = J // g
+    rows, cols = np.divmod(idx, J)
+    # Sub-ring (r, m) holds the columns m + l step, l < g, of ring r.
+    subs, which = np.unique(rows * step + cols % step, return_inverse=True)
+    first = tilt[subs // step, subs % step]
+    zeta, s = _shared_terms(pair, power, scheme, centred=False)
+    s = (s + power * np.real(q1 * zeta)).reshape(-1, count)
+    peak = s.max(axis=1)
+    peak[~np.isfinite(peak)] = 0.0
+    weights = np.exp(s - peak[:, None])
+    rho, mod = scheme.radial_nodes, np.abs(first)
+    # |lambda| rho (cos x - 1) = -2 |lambda| rho sin^2(x / 2), without loss
+    kern = -2.0 * mod[:, None] * np.sin(0.5 * np.add.outer(
+        np.angle(first), scheme.angular_nodes())) ** 2
+    bound = peak + np.multiply.outer(mod, rho)
+    top = bound.max(axis=1)
+    bound -= top[:, None]
+    # Blocks of about _CHUNK samples: radii, then sub-rings.
+    radii = max(1, quadrature._CHUNK // (count * g))
+    batch = max(1, quadrature._CHUNK // (radii * count))
+    lagged = ((np.arange(count) + count // g * np.arange(g)[:, None, None])
+              % count + count * np.arange(radii)[:, None])
+    sums = np.zeros((g, subs.size))
+    for lo in range(0, rho.size, radii):
+        block = weights[lo:lo + radii]
+        rolled = block.ravel()[lagged[:, :len(block)]].reshape(g, -1)
+        for part in range(0, subs.size, batch):
+            ker = rho[lo:lo + radii, None] * kern[part:part + batch, None]
+            ker += bound[part:part + batch, lo:lo + radii, None]
+            np.exp(ker, out=ker)
+            sums[:, part:part + batch] += rolled @ ker.reshape(len(ker), -1).T
+    with np.errstate(divide="ignore"):
+        out = top[which] + np.log(sums[cols // step, which])
+    redo = ~(out >= top[which] - _RING_FLOOR)
+    if redo.any():
+        lam = tilt.ravel()[idx[redo]] + power * q1
+        out[redo] = _log_level(pair, power, np.zeros(lam.size), lam, scheme)
     return out
 
 
@@ -227,8 +306,11 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
     when the shifted integral diverges and NonConvergence, carrying the
     latest log value of every point (NaN where no level ran), when the
     levels run out (``tol.max_refinements`` or the sample budget) first.
+    A 2-D ``points`` is read a ring per row (see the module); the result
+    is flat either way.
     """
-    w = np.asarray(points, dtype=complex).ravel()
+    pts = np.asarray(points, dtype=complex)
+    w = pts.ravel()
     tol = tol or PROFILE_TOL
     c, growth = _decay_and_growth(pair, power)
     weight = pair.weight_symbol
@@ -255,6 +337,13 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
     v[origin] = 0.0
     # The tilt is beta about 0 and vanishes at v*.
     lam = np.where(origin, beta, 0.0)
+    # Origin points on the rows w_r0 e^(2 pi i j / J) of a 2-D input take
+    # the ring route.
+    ring = np.zeros(w.size, dtype=bool)
+    if pts.ndim == 2 and origin.any():
+        spin = np.exp(2j * np.pi * np.arange(pts.shape[1]) / pts.shape[1])
+        on = np.abs(pts - pts[:, :1] * spin) <= 1e-12 * np.abs(pts[:, :1])
+        ring = origin & np.repeat(on.all(axis=1), pts.shape[1])
     d = np.conj(a) * w - v
     log_pref = (c * ((abs(a) ** 2 - 1.0) * np.abs(w) ** 2 - np.abs(d) ** 2
                      + 2.0 * np.real(b * np.conj(w)))
@@ -268,7 +357,14 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
         linear = float(np.max(np.abs(lam[active])))
         base = _first_level(scheme(linear) if linear else star, tol)
         for level, sch in enumerate(base.levels(tol.max_refinements)):
-            cur = _log_level(pair, power, v[active], lam[active], sch)
+            on = ring[active]
+            if on.any():
+                cur, rest = np.empty(active.size), active[~on]
+                cur[on] = _ring_level(pair, power, pts, active[on], sch)
+                if rest.size:
+                    cur[~on] = _log_level(pair, power, v[rest], lam[rest], sch)
+            else:
+                cur = _log_level(pair, power, v[active], lam[active], sch)
             prev = logs[active]
             logs[active] = cur
             if level:
@@ -354,7 +450,7 @@ def berezin_profile(pair: SymbolPair, power: float,
     grid = grid or GridSpec()
     pts = grid.points(pair.alpha)
     try:
-        logb = berezin_log_profile(pair, power, pts.ravel(), tol=tol)
+        logb = berezin_log_profile(pair, power, pts, tol=tol)
     except DivergentTail:
         logb = np.full(pts.size, np.inf)
     with np.errstate(over="ignore"):
@@ -365,12 +461,12 @@ def berezin_profile(pair: SymbolPair, power: float,
 
 def _segment_nodes(lo: float, hi: float, radial: int = 24,
                    angular: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Polar product nodes and area weights on the annulus lo < |w| < hi."""
+    """Polar nodes on lo < |w| < hi, a ring per row, and flat area weights."""
     x, gw = _leggauss(radial)
     r = 0.5 * (hi - lo) * (x + 1.0) + lo
     wr = 0.5 * (hi - lo) * gw * r * (2.0 * np.pi / angular)
     phases = np.exp(2j * np.pi * np.arange(angular) / angular)
-    pts = np.multiply.outer(r, phases).ravel()
+    pts = np.multiply.outer(r, phases)
     wts = np.repeat(wr, angular)
     return pts, wts
 
@@ -432,7 +528,7 @@ def _tail_exponent(pair: SymbolPair, power: float,
     points = np.multiply.outer(radii, np.exp(1j * GridSpec().angles()))
     out = {"radii": radii.tolist(), "kappa": math.nan}
     try:
-        logs = berezin_log_profile(pair, power, points.ravel(), tol=tol)
+        logs = berezin_log_profile(pair, power, points, tol=tol)
     except DivergentTail as exc:
         out.update(kappa=math.inf, note=str(exc))
     except NonConvergence as exc:

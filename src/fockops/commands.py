@@ -241,12 +241,8 @@ def _run_classify(cfg: dict, seed):
     return {"result.json": _dump_json(payload)}, code
 
 
-def _run_schatten(cfg: dict, seed):
-    pair, size = _pair(cfg), cfg["size"]
-    summary = spectral_summary(build_matrix(pair, size), cfg["orders"])
-    payload = {
-        "schema": SCHEMA, "command": "schatten", "size": size,
-        "alpha": pair.alpha,
+def _spectral_payload(summary) -> dict:
+    return {
         "op_norm": summary.op_norm,
         "op_norm_converged": summary.op_norm_converged,
         "hs_norm": summary.hs_norm,
@@ -257,6 +253,13 @@ def _run_schatten(cfg: dict, seed):
                                 "converged": part.converged}
                      for t, part in sorted(summary.schatten.items())},
     }
+
+
+def _run_schatten(cfg: dict, seed):
+    pair, size = _pair(cfg), cfg["size"]
+    summary = spectral_summary(build_matrix(pair, size), cfg["orders"])
+    payload = {"schema": SCHEMA, "command": "schatten", "size": size,
+               "alpha": pair.alpha, **_spectral_payload(summary)}
     singular = [("k", "sigma")] + [(k, repr(float(s)))
                                    for k, s in enumerate(summary.singular)]
     return {"result.json": _dump_json(payload),
@@ -281,6 +284,11 @@ def _run_sweep(cfg: dict, seed):
         row = {"index": entry["index"], **_classification_payload(cls)}
         if entry["oracle"] is not None:
             row["oracle"] = _classification_payload(entry["oracle"])
+        if "spectral" in entry:
+            summary = entry["spectral"]
+            row["spectral"] = summary and _spectral_payload(summary)
+            if summary is None:
+                row["spectral_note"] = entry["spectral_note"]
         entries.append(row)
     payload = {
         "schema": SCHEMA, "command": "sweep", "p": p, "q": q, "size": size,
@@ -292,7 +300,10 @@ def _run_sweep(cfg: dict, seed):
         "hs_ratios": report.hs_ratios,
         "entries": entries,
     }
-    return {"result.json": _dump_json(payload)}, (0 if report.ok else 4)
+    # A mismatch outranks a spectrum lost to overflow.
+    lost = any(e.get("spectral", 0) is None for e in report.entries)
+    code = 4 if not report.ok else 3 if lost else 0
+    return {"result.json": _dump_json(payload)}, code
 
 
 def _run_crosscheck(cfg: dict, seed):

@@ -333,7 +333,10 @@ def consistency_report(pairs, p: float, q: float, size: int = 128,
     Every definite disagreement with a closed-form verdict is a mismatch;
     spectral partial sums only vote when their convergence flag is set.
     Norm ratios are collected for the equivalence-band regression; a pair
-    whose direct HS integral fails to converge or overflows adds none.
+    whose direct HS integral fails to converge or overflows adds none.  A
+    pair whose matrix overflows (NonConvergence) keeps its transform
+    verdicts, with ``"spectral": None`` and the message in its entry, and
+    casts no spectral vote and adds no ratio.
     """
     mismatches, spectral_dis = [], []
     op_ratios, hs_ratios, entries = [], [], []
@@ -365,7 +368,11 @@ def consistency_report(pairs, p: float, q: float, size: int = 128,
                 if _verdicts_disagree(lhs, rhs):
                     mismatches.append((i, f"schatten[{t}]", lhs, rhs))
         if want_schatten:
-            summary = spectral_summary(build_matrix(pair, size), orders)
+            try:
+                summary = spectral_summary(build_matrix(pair, size), orders)
+            except NonConvergence as exc:
+                entry.update(spectral=None, spectral_note=str(exc))
+                continue
             entry["spectral"] = summary
             for t, partial in summary.schatten.items():
                 lhs = cls.schatten.get(t)

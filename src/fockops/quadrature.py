@@ -49,10 +49,11 @@ __all__ = [
 _SAMPLE_BUDGET = 1 << 22
 
 # Samples evaluated at once, so that a chunk's temporaries stay in cache.
-# At 1 << 14 a float64 temporary is exactly 128 KiB, glibc's default mmap
-# threshold, so each one becomes an mmap/munmap pair with fresh page
-# faults unless an earlier large free has raised the threshold; at 1 << 13
-# they come from the heap whatever ran before.
+# A temporary of 128 KiB or more, glibc's default mmap threshold, becomes
+# an mmap/munmap pair with fresh page faults unless an earlier large free
+# has raised the threshold.  At 1 << 13 a float64 temporary (64 KiB)
+# comes from the heap whatever ran before; a complex128 one is 128 KiB,
+# at the threshold, so it does not.
 _CHUNK = 1 << 13
 
 

@@ -6,6 +6,7 @@ import types
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockops import berezin, quadrature
 from fockops.bands import HS_DIRECT_RATIO_BAND, SUBHARMONIC_LOWER
@@ -539,6 +540,114 @@ class TestEvaluator:
         for pair in random_volterra_family(50, seed=1729)[:5]:
             berezin_log_profile(pair, 2.0, points)
         assert sum(counts) <= 1.1 * 5_186_304
+
+
+def spy_ring_levels(monkeypatch):
+    """The number of points of each ring-route level to come."""
+    sizes = []
+    ring = berezin._ring_level
+
+    def spy(pair, power, rings, idx, scheme):
+        sizes.append(idx.size)
+        return ring(pair, power, rings, idx, scheme)
+
+    monkeypatch.setattr(berezin, "_ring_level", spy)
+    return sizes
+
+
+def _polar(modulus, phase):
+    return modulus * cmath.exp(1j * phase)
+
+
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+_COEFF = st.builds(_polar, st.floats(0.0, 2.0), _PHASE)
+
+
+class TestRingRoute:
+    """Origin points on the rings of a 2-D input share their samples."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["volterra", "weighted"]),
+           alpha=st.sampled_from([0.5, 1.0, 2.0]),
+           power=st.sampled_from([1.0, 2.0]),
+           a=st.builds(_polar, st.floats(0.0, 1.2), _PHASE),
+           b=st.builds(_polar, st.floats(0.05, 2.0), _PHASE),
+           poly=st.lists(_COEFF, min_size=1, max_size=4),
+           q1=_COEFF,
+           q2=st.builds(_polar, st.floats(0.0, 0.95), _PHASE),
+           count=st.sampled_from([1, 3, 8, 16, 24, 32]),
+           base=_PHASE,
+           radii=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
+           nodes=st.tuples(st.sampled_from([12, 24, 48, 96]),
+                           st.sampled_from([12, 24, 48, 96])))
+    def test_ring_route_matches_the_tilted_route(
+            self, kind, alpha, power, a, b, poly, q1, q2, count, base, radii,
+            nodes):
+        # q2 stays inside the divergence margin: |q2| < 0.98 alpha / 2
+        q2 *= 0.98 * alpha / 2.0
+        symbol = Symbol(poly=tuple(poly), expo=(0.0, q1, q2))
+        pair = getattr(SymbolPair, kind)(symbol, AffineMap(a, b),
+                                         alpha=alpha)
+        c = 0.5 * power * alpha
+        points = np.multiply.outer(
+            np.asarray(radii) * cmath.exp(1j * base) / math.sqrt(alpha),
+            np.exp(2j * np.pi * np.arange(count) / count))
+        lam = (2.0 * c * a * np.conj(points) + power * q1).ravel()
+        scheme = build_scheme(c, PROFILE_TOL, power * abs(q2),
+                              linear_bound=float(np.max(np.abs(lam))),
+                              radial_count=nodes[0], angular_count=nodes[1])
+        ring = berezin._ring_level(pair, power, points, np.arange(lam.size),
+                                   scheme)
+        tilted = berezin._log_level(pair, power, np.zeros(lam.size), lam,
+                                    scheme)
+        np.testing.assert_allclose(ring, tilted, rtol=0, atol=1e-12)
+
+    def test_underflowing_points_take_the_tilted_route(self, monkeypatch):
+        # Near w = -20 the turning tilt 2 conj(w) cancels power q1 = 40:
+        # the ring route's two factors peak on opposite sides of 0, and
+        # their products underflow.
+        pair = SymbolPair.volterra(Symbol(poly=(1.0, 0.5),
+                                          expo=(0.0, 20.0, 0.0)))
+        points = np.multiply.outer([-20.0, -10.0],
+                                   np.exp(2j * np.pi * np.arange(8) / 8))
+        lam = (2.0 * np.conj(points) + 40.0).ravel()
+        scheme = build_scheme(1.0, PROFILE_TOL,
+                              linear_bound=float(np.max(np.abs(lam))),
+                              radial_count=48, angular_count=48)
+        tilted = berezin._log_level(pair, 2.0, np.zeros(lam.size), lam,
+                                    scheme)
+        redone = spy_levels(monkeypatch, lambda v, lam, scheme: v.size)
+        ring = berezin._ring_level(pair, 2.0, points, np.arange(lam.size),
+                                   scheme)
+        assert redone and 0 < redone[0] < lam.size
+        np.testing.assert_allclose(ring, tilted, rtol=0, atol=1e-12)
+
+    def test_profile_and_inner_disk_take_the_ring_route(self, monkeypatch):
+        # lam is 0 exactly for the v*-centred points
+        tilted = spy_levels(monkeypatch,
+                            lambda v, lam, scheme: bool(np.any(lam)))
+        rings = spy_ring_levels(monkeypatch)
+        points = GridSpec().points(1.0)
+        berezin_log_profile(DEEP_PAIR, 2.0, points.ravel())
+        assert any(tilted)
+        tilted.clear()
+        berezin_profile(DEEP_PAIR, 2.0)
+        berezin._annulus(DEEP_PAIR, 2.0, 0)
+        assert tilted and not any(tilted)
+        assert rings
+
+    def test_rows_that_are_not_rings_keep_the_flat_values(self, monkeypatch):
+        rings = spy_ring_levels(monkeypatch)
+        points = GridSpec().points(1.0)
+        # rows run clockwise, with two points swapped, and off the circle
+        # by more than 1e-12 relative
+        shuffled = np.concatenate([points[:, ::-1],
+                                   points[:, np.r_[0, 2, 1, 3:16]],
+                                   points * (1.0 + 1e-10 * np.arange(16))])
+        two_d = berezin_log_profile(DEEP_PAIR, 2.0, shuffled)
+        assert not rings
+        np.testing.assert_array_equal(
+            two_d, berezin_log_profile(DEEP_PAIR, 2.0, shuffled.ravel()))
 
 
 class TestWeightScaling:

@@ -136,6 +136,25 @@ class TestSweepCommand:
         assert payload["mismatches"] == []
         assert len(payload["entries"]) == 2
 
+    def test_overflowing_matrix_exits_three_with_the_report(self, tmp_path,
+                                                            capsys):
+        weyl = {"kind": "weighted",
+                "symbol": {"prefactor": [1.0], "exponent": [-0.5, 1.0]},
+                "map": {"a": 1.0, "b": -1.0}}
+        data = {"schema": "v1",
+                "pairs": [{"kind": "weighted", "symbol": [1.0],
+                           "map": {"a": 0.5, "b": 0.2}}, weyl],
+                "p": 2.0, "q": 2.0, "size": 256}
+        assert run_cli(tmp_path, "sweep", data, "--no-cache") == 3
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert len(payload["entries"]) == 2
+        first, second = payload["entries"]
+        assert first["spectral"]["op_norm"] > 0
+        assert second["spectral"] is None
+        assert "overflow" in second["spectral_note"]
+        assert "Traceback" not in err
+
     def test_seed_flag_overrides_the_family_seed(self, tmp_path, capsys):
         data = {"schema": "v1", "family": {"count": 2, "degree_max": 2},
                 "p": 2.0, "q": 2.0, "size": 24, "orders": [4.0]}

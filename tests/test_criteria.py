@@ -390,3 +390,21 @@ class TestConsistencyReport:
         assert (cls.bounded, cls.compact) == (Verdict.YES, Verdict.YES)
         assert set(cls.schatten.values()) == {Verdict.YES}
         assert len(report.hs_ratios) == 1
+
+    def test_overflowing_matrix_leaves_the_other_pairs(self):
+        # The Weyl pair's matrix entries overflow at N = 256.
+        contraction = SymbolPair.weighted(ONE, AffineMap(0.5, 0.2))
+        weyl = SymbolPair.weighted(Symbol.exponential(q0=-0.5, q1=1.0),
+                                   AffineMap(1.0, -1.0))
+        alone = consistency_report([contraction], 2.0, 2.0, size=256)
+        report = consistency_report([contraction, weyl], 2.0, 2.0,
+                                    size=256)
+        assert report.ok
+        first, second = report.entries
+        assert first["spectral"] is not None
+        assert second["spectral"] is None
+        assert "overflow" in second["spectral_note"]
+        # the Weyl pair's transform verdicts stay, its votes and ratios go
+        assert second["classified"].bounded is Verdict.YES
+        assert report.op_norm_ratios == alone.op_norm_ratios
+        assert report.hs_ratios == alone.hs_ratios
