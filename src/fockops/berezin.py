@@ -65,14 +65,14 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import quadrature
 from .errors import DivergentTail, NonConvergence
 from .quadrature import Tolerance, _leggauss, build_scheme
-from .symbols import SymbolPair
+from .symbols import AffineMap, SymbolPair
 
 __all__ = [
     "GridSpec",
@@ -324,11 +324,13 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
                             angular_count=_BASE_NODES)
 
     # v* solves c conj(v) = beta / 2 + gamma v; the divergence margin
-    # keeps |gamma| below c.
+    # keeps |r| = |gamma| / c below 1.  Divided through by c, the formula
+    # holds no c^2 to overflow or underflow.
     beta = 2.0 * c * a * np.conj(w) + power * q1
     gamma = power * q2
-    v = ((np.conj(gamma) * beta + c * np.conj(beta))
-         / (2.0 * (c * c - abs(gamma) ** 2)))
+    r = gamma / c
+    v = ((np.conj(r) * beta + np.conj(beta))
+         / (2.0 * c * (1.0 - abs(r) ** 2)))
     star = scheme(0.0)
     origin = pair.has_metric_factor & (np.abs(v) <= star.radius)
     if origin.any():
@@ -639,38 +641,25 @@ def berezin_power_integral(pair: SymbolPair, power: float,
 def hilbert_schmidt_integral(pair: SymbolPair) -> float:
     """integral of W(z)^2 exp(alpha (|psi(z)|^2 - |z|^2)) dm(z); +inf verdict.
 
-    With W = |P e^q| (times 1 / (1 + |z|) for the integral kind) the
-    integrand is e^(alpha |b|^2 + 2 Re q0) times W0(z)^2 exp(Re(lam z))
-    exp(-alpha (1 - |a|^2) |z|^2), with W0 the weight without q0 and q1
-    and lam = 2 alpha a conj(b) + 2 q1.  That Gaussian integral is summed
-    about 0 by ``_log_level``, one level after another, until two log
-    values agree within ``Tolerance().rel_tol``, so no intermediate
-    overflows whenever the integral converges at all.
+    With alpha' = alpha (1 - |a|^2) and w0 = alpha conj(a) b / alpha', the
+    exponent is alpha' (2 Re(z conj(w0)) - |z|^2 - |w0|^2) + alpha |b|^2
+    + alpha' |w0|^2, so the integral is exp(alpha |b|^2 + alpha' |w0|^2)
+    B(w0): B is the power-2 transform of the same kind and symbol under the
+    identity map at alpha', evaluated at ``Tolerance()``.  Its
+    NonConvergence passes through; |a| >= 1 and a divergent B give +inf.
     """
-    weight = pair.weight_symbol
-    if weight.is_zero:
+    if pair.weight_symbol.is_zero:
         return 0.0
-    tol = Tolerance()
-    alpha = pair.alpha
     a, b = pair.psi.a, pair.psi.b
-    q0, q1, _ = weight.expo
-    decay = alpha * (1.0 - abs(a) ** 2)
-    growth = 2.0 * weight.gaussian_growth
-    if decay <= 0 or growth >= decay * (1.0 - _DIVERGENCE_MARGIN):
+    decay = pair.alpha * (1.0 - abs(a) ** 2)
+    if decay <= 0:
         return math.inf
-    lam = np.array([2.0 * alpha * a * np.conj(b) + 2.0 * q1])
-    base = _first_level(build_scheme(
-        decay, tol, growth, linear_bound=float(abs(lam[0])),
-        poly_degree_cap=2 * weight.degree + 8, radial_count=_BASE_NODES,
-        angular_count=_BASE_NODES), tol)
-    prev = math.nan
-    for sch in base.levels(tol.max_refinements):
-        cur = float(_log_level(pair, 2.0, np.zeros(1), lam, sch)[0])
-        if abs(cur - prev) <= tol.rel_tol:
-            break
-        prev = cur
-    else:
-        raise NonConvergence("Hilbert-Schmidt levels ran out before log "
-                             "agreement")
+    w0 = pair.alpha * np.conj(a) * b / decay
+    flat = replace(pair, psi=AffineMap(1.0), alpha=decay)
+    try:
+        logb = berezin_log_profile(flat, 2.0, [w0], tol=Tolerance())[0]
+    except DivergentTail:
+        return math.inf
     with np.errstate(over="ignore"):
-        return float(np.exp(cur + alpha * abs(b) ** 2 + 2.0 * np.real(q0)))
+        return float(np.exp(logb + pair.alpha * abs(b) ** 2
+                            + decay * abs(w0) ** 2))

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import NonConvergence
 from .quadrature import Tolerance, gaussian_integral
 from .symbols import Symbol
 
@@ -49,7 +50,12 @@ def _mean_power(f: Symbol, p: float, alpha: float, tol: Tolerance | None,
                             growth_bound=p * f.gaussian_growth,
                             linear_bound=p * f.linear_growth,
                             poly_degree_cap=int(math.ceil(p * f.degree)) + 8)
-    return float((c / math.pi) * res.value.real) ** (1.0 / p)
+    mean = float((c / math.pi) * res.value.real)
+    try:
+        return mean ** (1.0 / p)
+    except OverflowError:
+        raise NonConvergence(f"the mean {mean!r} has no representable "
+                             f"{p!r}-th root") from None
 
 
 def fock_norm(f: Symbol, p: float, alpha: float,

@@ -180,9 +180,13 @@ def tail_radius(decay: float, abs_tol: float, growth_bound: float = 0.0,
                 linear_bound: float = 0.0, poly_degree_cap: int = 64) -> float:
     """Smallest radius at which the truncated tail drops below ``abs_tol``.
 
-    Solves exp((g - c) R^2 + L R) (1 + R)^k <= abs_tol for R by doubling
-    followed by bisection.  Raises :class:`DivergentTail` when g >= c, in
-    which case no radius works.
+    Solves exp((g - c) R^2 + L R) (1 + R)^k <= abs_tol for R.  The log of
+    the envelope is concave, so the bound holds from the least fixed point
+    of R = s + hypot(s, sqrt((k log1p(R) - log(abs_tol)) / gap)) on, with
+    gap = c - g and s = L / (2 gap); iterating from R = 0, R rises to it,
+    at least halving the distance per step.  The radius is at least
+    1 / sqrt(c).  Raises :class:`DivergentTail` when g >= c, or when the
+    root lies beyond 2^199 max(1, gap^(-1/2)).
     """
     if decay <= 0.0:
         raise ValueError("decay must be positive")
@@ -194,27 +198,20 @@ def tail_radius(decay: float, abs_tol: float, growth_bound: float = 0.0,
         raise ValueError("linear_bound must be non-negative")
 
     gap = decay - growth_bound
-    log_target = math.log(abs_tol)
-
-    def log_tail(radius: float) -> float:
-        return (-gap * radius * radius + linear_bound * radius
-                + poly_degree_cap * math.log1p(radius) - log_target)
-
-    hi = max(1.0, 1.0 / math.sqrt(gap))
-    for _ in range(200):
-        if log_tail(hi) <= 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - unreachable for finite inputs
-        raise DivergentTail("tail bound cannot be met at any finite radius")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if log_tail(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return max(hi, 1.0 / math.sqrt(decay))
+    shift = 0.5 * linear_bound / gap
+    # sqrt(x) / sqrt(gap), not sqrt(x / gap), which overflows for tiny gaps
+    root_gap = math.sqrt(gap)
+    radius, prev = 0.0, -1.0
+    while radius > prev:
+        prev = radius
+        reach = math.sqrt(poly_degree_cap * math.log1p(radius)
+                          - math.log(abs_tol))
+        radius = shift + math.hypot(shift, reach / root_gap)
+    limit = 2.0 ** 199 * max(1.0, 1.0 / root_gap)
+    if not radius <= limit:  # also when it is NaN
+        raise DivergentTail(f"no radius up to {limit:.6g} meets the tail "
+                            "bound")
+    return max(radius, 1.0 / math.sqrt(decay))
 
 
 def build_scheme(decay: float, tol: Tolerance | None = None,

@@ -298,6 +298,15 @@ class TestFarPoints:
                                   tol=Tolerance(rel_tol=1e-8))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    def test_vanishing_power_gives_the_gaussian_mass(self):
+        # as power -> 0, W^power -> 1 and B -> pi / c at every w; c^2 would
+        # underflow here, and v* must not square c
+        power = 1e-300
+        c = 0.5 * power
+        pts = GridSpec(radial_count=3, angular_count=4).points(1.0)
+        got = berezin_log_profile(SymbolPair.volterra(Z), power, pts)
+        np.testing.assert_allclose(got, math.log(math.pi / c), rtol=1e-12)
+
     def test_far_point_memory_stays_small(self):
         pair = random_volterra_family(1, seed=3, degree_max=3, alpha=0.5)[0]
         tracemalloc.start()
@@ -856,6 +865,34 @@ class TestHilbertSchmidt:
         ratio = hilbert_schmidt_integral(pair) / (4.0 * math.log(4.0 / 3.0))
         lo, hi = HS_DIRECT_RATIO_BAND
         assert lo < ratio < hi
+
+    # (a, b, alpha); b != 0 moves the transform point w0 off the origin
+    SHIFTED_MAPS = [(0.5, 1.0, 1.0), (0.3 - 0.6j, -1.5 + 0.4j, 0.5),
+                    (0.8j, 0.7 - 0.2j, 2.0), (0.0, 2.0, 1.0)]
+
+    @pytest.mark.parametrize("a,b,alpha", SHIFTED_MAPS)
+    def test_constant_weight_closed_form(self, a, b, alpha):
+        u0 = 0.9 - 0.3j
+        pair = SymbolPair.weighted(Symbol.polynomial([u0]), AffineMap(a, b),
+                                   alpha=alpha)
+        decay = alpha * (1.0 - abs(a) ** 2)
+        want = (abs(u0) ** 2 * math.pi / decay
+                * math.exp(alpha * abs(b) ** 2
+                           + alpha ** 2 * abs(a * b) ** 2 / decay))
+        np.testing.assert_allclose(hilbert_schmidt_integral(pair), want,
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("a,b,alpha", SHIFTED_MAPS)
+    def test_exp_linear_weight_closed_form(self, a, b, alpha):
+        q0, q1 = 0.2 - 0.5j, -0.3 + 0.4j
+        pair = SymbolPair.weighted(Symbol.exponential(q0, q1),
+                                   AffineMap(a, b), alpha=alpha)
+        decay = alpha * (1.0 - abs(a) ** 2)
+        want = (math.exp(2.0 * q0.real) * math.pi / decay
+                * math.exp(alpha * abs(b) ** 2
+                           + abs(alpha * a * np.conj(b) + q1) ** 2 / decay))
+        np.testing.assert_allclose(hilbert_schmidt_integral(pair), want,
+                                   rtol=1e-10)
 
     def test_zero_weight(self):
         assert hilbert_schmidt_integral(SymbolPair.volterra(ONE)) == 0.0

@@ -57,6 +57,15 @@ class TestBerezinCommand:
             want = np.pi * np.exp(-0.75 * (w_re ** 2 + w_im ** 2))
             np.testing.assert_allclose(value, want, rtol=1e-6)
 
+    @pytest.mark.parametrize("power", [1e300, 1e-300])
+    def test_extreme_powers_give_numbers(self, tmp_path, capsys, power):
+        data = dict(VOLTERRA_Z, power=power,
+                    grid={"radial_count": 2, "angular_count": 4})
+        assert run_cli(tmp_path, "berezin", data, "--no-cache") == 0
+        out = capsys.readouterr().out
+        assert len(out.strip().splitlines()) == 1 + 2 * 4
+        assert "nan" not in out
+
     def test_power_or_q_is_required(self, tmp_path, capsys):
         assert run_cli(tmp_path, "berezin", dict(CONTRACTION)) == 2
         assert "power" in capsys.readouterr().err
@@ -434,6 +443,14 @@ class TestExitCodes:
     def test_unmeetable_norm_tolerance_exits_three(self, tmp_path, capsys):
         data = {"schema": "v1", "symbol": [1.0, 0.5], "p": 2.0,
                 "tolerance": {"rel_tol": 1e-15, "abs_tol": 1e-300}}
+        assert run_cli(tmp_path, "norm", data, "--no-cache") == 3
+        err = capsys.readouterr().err
+        assert "computation did not settle" in err
+        assert "Traceback" not in err
+
+    def test_unrepresentable_root_exits_three(self, tmp_path, capsys):
+        # the 1e-300-th root of a mean above 1 overflows
+        data = {"schema": "v1", "symbol": [1.0, 1.0], "p": 1e-300}
         assert run_cli(tmp_path, "norm", data, "--no-cache") == 3
         err = capsys.readouterr().err
         assert "computation did not settle" in err

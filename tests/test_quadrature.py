@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,6 +127,38 @@ class TestTailRadius:
             tail_radius(1.0, 1e-12, growth_bound=1.0)
         with pytest.raises(DivergentTail):
             tail_radius(1.0, 1e-12, growth_bound=1.25)
+
+    def test_matches_an_mpmath_root(self):
+        # the root of -gap R^2 + L R + k log1p(R) - log(abs_tol) at 30
+        # digits, bracketed between 0 and the first power of two past it
+        grid = itertools.product((0.05, 1.0, 40.0), (0.0, 0.9),
+                                 (0.0, 0.5, 30.0), (0, 10, 64),
+                                 (1e-6, 1e-12))
+        with mpmath.workdps(30):
+            for decay, share, linear, cap, abs_tol in grid:
+                growth = share * decay
+                gap = mpmath.mpf(decay) - mpmath.mpf(growth)
+
+                def log_tail(r):
+                    return (-gap * r * r + linear * r
+                            + cap * mpmath.log1p(r) - mpmath.log(abs_tol))
+
+                hi = mpmath.mpf(1)
+                while log_tail(hi) > 0:
+                    hi *= 2
+                root = mpmath.findroot(log_tail, (0, hi), solver="illinois")
+                want = max(float(root), 1.0 / math.sqrt(decay))
+                got = tail_radius(decay, abs_tol, growth_bound=growth,
+                                  linear_bound=linear, poly_degree_cap=cap)
+                assert got == pytest.approx(want, rel=1e-13), (
+                    decay, share, linear, cap, abs_tol)
+
+    def test_unreachable_radius_diverges(self):
+        # no radius up to 2^199 ~ 8.0e59 meets the bound at L = 1e61
+        assert tail_radius(1.0, 1e-12, linear_bound=1e59) == \
+            pytest.approx(1e59, rel=1e-13)
+        with pytest.raises(DivergentTail):
+            tail_radius(1.0, 1e-12, linear_bound=1e61)
 
 
 class TestScheme:
