@@ -84,11 +84,6 @@ __all__ = [
     "hilbert_schmidt_integral",
 ]
 
-# Divergence margin: the shifted integrand W^power exp(-c |zeta|^2) is
-# declared non-integrable when the quadratic growth of W^power reaches
-# this fraction of c.
-_DIVERGENCE_MARGIN = 0.02
-
 # Log-accuracy of a profile point unless the caller sets its own tolerance.
 PROFILE_TOL = Tolerance(rel_tol=1e-4)
 
@@ -103,9 +98,8 @@ _BASE_NODES = 12
 # weight relative to its peak exceeds log(rel_tol) - _KINK_MARGIN.
 _KINK_MARGIN = 7.0
 
-# berezin_power_integral: stop tolerance, annulus cap, annulus log accuracy.
+# berezin_power_integral: stop tolerance and annulus log accuracy.
 _MARCH_REL = 1e-4
-_MAX_ANNULI = 12
 _ANNULUS_TOL = Tolerance(rel_tol=1e-3)
 
 # _tail_exponent: ring slopes within _TAIL_BAND * power of each other and
@@ -120,12 +114,12 @@ _POLY = np.polynomial.polynomial
 
 
 def _decay_and_growth(pair: SymbolPair, power: float) -> tuple[float, float]:
-    """(c, quadratic growth of W^power); raises DivergentTail when unusable."""
+    """(c, quadratic growth of W^power); DivergentTail from growth = c on."""
     if power <= 0:
         raise ValueError("power must be positive")
     c = 0.5 * power * pair.alpha
     growth = power * pair.weight_symbol.gaussian_growth
-    if growth >= c * (1.0 - _DIVERGENCE_MARGIN):
+    if growth >= c:
         raise DivergentTail(
             f"weight growth {growth:.6g} reaches the Gaussian decay "
             f"{c:.6g}; the transform integral diverges at every w")
@@ -323,8 +317,8 @@ def berezin_log_profile(pair: SymbolPair, power: float, points,
                             poly_degree_cap=cap, radial_count=_BASE_NODES,
                             angular_count=_BASE_NODES)
 
-    # v* solves c conj(v) = beta / 2 + gamma v; the divergence margin
-    # keeps |r| = |gamma| / c below 1.  Divided through by c, the formula
+    # v* solves c conj(v) = beta / 2 + gamma v; growth < c keeps
+    # |r| = |gamma| / c below 1.  Divided through by c, the formula
     # holds no c^2 to overflow or underflow.
     beta = 2.0 * c * a * np.conj(w) + power * q1
     gamma = power * q2
@@ -419,21 +413,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class BerezinProfile:
-    """Transform values on a grid, with its sup and outer-ring statistics."""
+    """Transform values on a grid, a ring per row."""
 
     pair: SymbolPair
     power: float
     radii: np.ndarray
     angles: np.ndarray
     values: np.ndarray
-
-    @property
-    def ring_maxima(self) -> np.ndarray:
-        return np.max(self.values, axis=1)
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(self.values))
 
     def csv_rows(self):
         """(w_re, w_im, value) rows for plotting, header included."""
@@ -463,14 +449,12 @@ def berezin_profile(pair: SymbolPair, power: float,
 
 def _segment_nodes(lo: float, hi: float, radial: int = 24,
                    angular: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Polar nodes on lo < |w| < hi, a ring per row, and flat area weights."""
+    """Polar nodes on lo < |w| < hi, a ring per row, and log area weights."""
     x, gw = _leggauss(radial)
     r = 0.5 * (hi - lo) * (x + 1.0) + lo
-    wr = 0.5 * (hi - lo) * gw * r * (2.0 * np.pi / angular)
+    log_wr = np.log(gw * r) + math.log(np.pi * (hi - lo) / angular)
     phases = np.exp(2j * np.pi * np.arange(angular) / angular)
-    pts = np.multiply.outer(r, phases)
-    wts = np.repeat(wr, angular)
-    return pts, wts
+    return np.multiply.outer(r, phases), np.repeat(log_wr, angular)
 
 
 # Annuli evaluated inside the current ``_shared_annuli`` scope, keyed by
@@ -552,11 +536,16 @@ def _tail_exponent(pair: SymbolPair, power: float,
     return out
 
 
+def _annulus_edge(pair: SymbolPair, power: float) -> float:
+    """The radius 6 / sqrt(c) of the march's inner disk, annulus 0."""
+    return 6.0 / math.sqrt(_decay_and_growth(pair, power)[0])
+
+
 def _annulus(pair: SymbolPair, power: float,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(area weights, log B at the nodes) of annulus k of the march.
+    """(log area weights, log B at the nodes) of annulus k of the march.
 
-    Annulus 0 is the disk |w| < r_edge with r_edge = 6 / sqrt(c); annulus
+    Annulus 0 is the disk |w| < r_edge (``_annulus_edge``); annulus
     k >= 1 spans r_edge 2^(k-1) < |w| < r_edge 2^k.  Inside a
     ``_shared_annuli`` scope the result is stored and reused;
     NonConvergence is not stored.
@@ -565,49 +554,48 @@ def _annulus(pair: SymbolPair, power: float,
     key = (pair, power, k)
     if store is not None and key in store:
         return store[key]
-    c, _ = _decay_and_growth(pair, power)
-    r_edge = 6.0 / math.sqrt(c)
+    r_edge = _annulus_edge(pair, power)
     # The inner disk holds most of a convergent value, so it gets the dense
     # rule.  An outer annulus runs coarse: under a power law the closing
     # annulus's sum, scaled by the exact tail ratio, carries the whole tail
     # and so decides the value to about the closing annulus's accuracy.
     if k == 0:
-        pts, wts = _segment_nodes(0.0, r_edge, radial=24, angular=32)
+        pts, log_w = _segment_nodes(0.0, r_edge, radial=24, angular=32)
     else:
-        pts, wts = _segment_nodes(r_edge * (2.0 ** (k - 1)),
-                                  r_edge * (2.0 ** k), radial=12, angular=24)
+        pts, log_w = _segment_nodes(r_edge * (2.0 ** (k - 1)),
+                                    r_edge * (2.0 ** k), radial=12, angular=24)
     logb = berezin_log_profile(pair, power, pts, tol=_ANNULUS_TOL)
     if store is not None:
-        store[key] = wts, logb
-    return wts, logb
+        store[key] = log_w, logb
+    return log_w, logb
 
 
 def berezin_power_integral(pair: SymbolPair, power: float,
                            s_exp: float) -> tuple[float, str]:
-    """integral of B(w)^s_exp dm(w), marched over doubling annuli.
+    """log of the integral of B(w)^s_exp dm(w), marched over doubling annuli.
 
-    Returns (value, status) with status one of "converged", "diverged",
-    "inconclusive".  Divergence is data here: the value is +inf and no
-    exception escapes.  B^s_exp grows like |w|^(s_exp kappa) with kappa
-    from ``_tail_exponent``, so the integral converges exactly when
-    s_exp kappa + 2 < 0; a diverging or unknown exponent marches no
-    annulus.  A converging one marches until an annulus adds at most
-    ``_MARCH_REL`` of the sum.  Under a power law (kappa finite) the
-    march closes after annulus 3, one more per doubling
-    of ``_far_scale`` past the Gaussian width 1 / sqrt(alpha), with the
-    geometric tail of ratio 2^(s_exp kappa + 2), the exact ratio of
-    consecutive annuli of |w|^(s_exp kappa).  Inside a ``_shared_annuli``
-    scope, as in ``classify_berezin``, the integrals of one (pair, power)
-    evaluate kappa and each annulus once, whatever their exponents;
-    outside one every call evaluates its own.
+    Returns (log value, status), status one of "converged", "diverged",
+    "inconclusive"; the zero weight gives (-inf, "converged") and
+    divergence +inf, with no exception.  B^s_exp grows like
+    |w|^(s_exp kappa), kappa from ``_tail_exponent``, so the integral
+    converges exactly when s_exp kappa + 2 < 0; else no annulus is
+    marched.  Annuli are summed in log space until one adds at most
+    ``_MARCH_REL`` of the sum.  Under a power law the march closes after
+    annulus 3, one more per doubling of ``_far_scale`` past the Gaussian
+    width 1 / sqrt(alpha), with the exact geometric tail of ratio
+    2^(s_exp kappa + 2).  It ends, inconclusive, with the first annulus
+    that starts past the outermost ring that read kappa: B's law was never
+    observed beyond it.  Inside a ``_shared_annuli`` scope the integrals
+    of one (pair, power) evaluate kappa and each annulus once.
     """
     if not (math.isfinite(s_exp) and s_exp > 0):
         raise ValueError("s_exp must be positive")
     if power <= 0:
         raise ValueError("power must be positive")
     if pair.weight_symbol.is_zero:
-        return 0.0, "converged"
-    exponent = s_exp * _tail_exponent(pair, power)["kappa"] + 2.0
+        return -math.inf, "converged"
+    tail = _tail_exponent(pair, power)
+    exponent = s_exp * tail["kappa"] + 2.0
     if math.isnan(exponent):
         return math.nan, "inconclusive"
     if exponent >= 0:
@@ -619,22 +607,26 @@ def berezin_power_integral(pair: SymbolPair, power: float,
     # one annulus later.
     spread = _far_scale(pair) * math.sqrt(pair.alpha)
     closing = 3 + max(0, math.ceil(math.log2(spread) - 1e-9))
+    last = 2 + math.floor(math.log2(tail["radii"][-1])
+                          - math.log2(_annulus_edge(pair, power)))
 
-    total = 0.0
-    for k in range(_MAX_ANNULI + 1):
+    total = -math.inf
+    for k in range(last + 1):
         try:
-            wts, logb = _annulus(pair, power, k)
+            log_w, logb = _annulus(pair, power, k)
         except NonConvergence:
             return total, "inconclusive"
-        with np.errstate(over="ignore"):
-            seg = float(np.sum(wts * np.exp(s_exp * logb)))
-        if not math.isfinite(seg):
+        terms = log_w + s_exp * logb
+        top = float(np.max(terms))
+        if not math.isfinite(top):
             return math.nan, "inconclusive"
-        if k and seg <= _MARCH_REL * total:
-            return total + seg, "converged"
-        total += seg
+        seg = top + math.log(float(np.sum(np.exp(terms - top))))
+        if k and seg <= total + math.log(_MARCH_REL):
+            return float(np.logaddexp(total, seg)), "converged"
+        total = float(np.logaddexp(total, seg))
         if ratio and k >= closing:
-            return total + seg * ratio / (1.0 - ratio), "converged"
+            return (float(np.logaddexp(total, seg + math.log(
+                ratio / (1.0 - ratio)))), "converged")
     return total, "inconclusive"
 
 

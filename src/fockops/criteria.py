@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .berezin import (GridSpec, _shared_annuli, _tail_exponent,
-                      berezin_power_integral, berezin_profile,
+                      berezin_log_profile, berezin_power_integral,
                       hilbert_schmidt_integral)
 from .errors import NonConvergence
 from .operator_rep import build_matrix, spectral_summary
@@ -63,9 +63,10 @@ def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec | None,
 
     Both follow from the far-field exponent kappa of ``_tail_exponent``:
     bounded iff kappa <= 0, compact iff kappa < 0.  Only a bounded pair
-    evaluates the sup profile, over the grid with its radius doubled: the
-    norm estimate is the larger of its sup and the far rings' maxima, the
-    essential norm's the farthest ring's maximum, each to the power 1/q.
+    evaluates the sup profile, log B over the grid with its radius doubled:
+    the norm estimate is the larger of its sup and the far rings' maxima,
+    the essential norm's the farthest ring's maximum, each to the power
+    1/q.  A profile that does not settle leaves the norm estimate NaN.
     """
     kappa = tail["kappa"]
     ev: dict = {"mode": "sup", "tail": tail}
@@ -78,24 +79,30 @@ def _classify_sup(pair: SymbolPair, q: float, grid: GridSpec | None,
                               essential_norm_estimate=math.inf, evidence=ev)
     grid = grid or GridSpec()
     wide = replace(grid, w_max=2.0 * grid.resolve_w_max(pair.alpha))
-    profile = berezin_profile(pair, q, grid=wide, tol=tol)
-    ev.update(radii=profile.radii.tolist(),
-              ring_maxima=profile.ring_maxima.tolist())
-    logs = tail["log_maxima"]
-    with np.errstate(divide="ignore", over="ignore"):
-        log_sup = max(float(np.log(profile.sup)), *logs)
-        norm, ess = np.exp(np.array([log_sup, logs[-1]]) / q)
+    try:
+        logb = berezin_log_profile(pair, q, wide.points(pair.alpha), tol=tol)
+    except NonConvergence as exc:
+        ev["note"], log_sup = str(exc), math.nan
+    else:
+        rings = logb.reshape(wide.radial_count, -1).max(axis=1)
+        log_sup = max(float(rings.max()), *tail["log_maxima"])
+        with np.errstate(over="ignore"):
+            ev.update(radii=wide.radii(pair.alpha).tolist(),
+                      ring_maxima=np.exp(rings).tolist())
+    with np.errstate(over="ignore"):
+        norm, ess = np.exp(np.array([log_sup, tail["log_maxima"][-1]]) / q)
     return Classification(bounded=Verdict.YES,
                           compact=Verdict.YES if kappa < 0 else Verdict.NO,
                           norm_estimate=float(norm),
                           essential_norm_estimate=float(ess), evidence=ev)
 
 
-def _integral_verdict(value: float, status: str, root: float):
-    """(verdict, estimate) of a power integral: YES with value^(1 / root)
-    when it converged, NO with +inf when it diverged, else INCONCLUSIVE."""
+def _integral_verdict(log_value: float, status: str, root: float):
+    """(verdict, estimate) from a power integral's log: YES, value^(1 / root)
+    if it converged, NO, +inf if it diverged, else INCONCLUSIVE, NaN."""
     if status == "converged":
-        return Verdict.YES, value ** (1.0 / root) if value > 0 else 0.0
+        with np.errstate(over="ignore"):
+            return Verdict.YES, float(np.exp(log_value / root))
     if status == "diverged":
         return Verdict.NO, math.inf
     return Verdict.INCONCLUSIVE, math.nan
@@ -104,12 +111,12 @@ def _integral_verdict(value: float, status: str, root: float):
 def _classify_integral(pair: SymbolPair, p: float, q: float,
                        tail: dict) -> Classification:
     s = p / (p - q)
-    value, status = berezin_power_integral(pair, q, s)
-    verdict, norm = _integral_verdict(value, status, s * q)
+    log_value, status = berezin_power_integral(pair, q, s)
+    verdict, norm = _integral_verdict(log_value, status, s * q)
     return Classification(
         bounded=verdict, compact=verdict, norm_estimate=norm,
         essential_norm_estimate=0.0 if verdict is Verdict.YES else norm,
-        evidence={"mode": "integral", "s": s, "value": value,
+        evidence={"mode": "integral", "s": s, "log_value": log_value,
                   "status": status, "tail": tail})
 
 
@@ -123,8 +130,8 @@ def schatten_membership(pair: SymbolPair, order: float):
     """
     if not (math.isfinite(order) and order > 0):
         raise ValueError("order must be positive")
-    value, status = berezin_power_integral(pair, 2.0, 0.5 * order)
-    return (*_integral_verdict(value, status, order), status)
+    log_value, status = berezin_power_integral(pair, 2.0, 0.5 * order)
+    return (*_integral_verdict(log_value, status, order), status)
 
 
 def classify_berezin(pair: SymbolPair, p: float, q: float,

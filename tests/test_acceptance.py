@@ -165,7 +165,7 @@ def test_criterion_10_norm_equivalence_bands(report):
                  SymbolPair.weighted(ONE, AffineMap(0.5)),
                  SymbolPair.weighted(ONE, AffineMap(0.7j))):
         op_norm = singular_values(build_matrix(pair, 128))[0]
-        sup = berezin_profile(pair, 2.0).sup
+        sup = berezin_profile(pair, 2.0).values.max()
         ratios.append(op_norm / math.sqrt(sup / np.pi))
     ratios = np.array(ratios)
     ok &= bool(np.all((ratios >= 1 / EQUIV_BAND) & (ratios <= EQUIV_BAND)))

@@ -265,13 +265,15 @@ class TestFarPoints:
         np.testing.assert_allclose(berezin_at(SymbolPair.volterra(Z), 2.0, w),
                                    mp_identity_volterra(w), rtol=1e-12)
 
-    # (q0, q1, q2), psi, power, alpha; power |q2| stays inside the
-    # divergence margin 0.98 c
+    # (q0, q1, q2), psi, power, alpha; power |q2| < c, the last two
+    # within 2 % of that edge
     EXP_CASES = [
         ((0.3 - 0.2j, 0.2 - 0.1j, 0.1 + 0.2j), AffineMap(0.8, 0.3 + 0.1j),
          2.0, 1.0),
         ((0.0, 0.5, -0.3j), AffineMap(cmath.exp(0.4j), -0.5), 1.0, 2.0),
         ((0.0, 0.0, 0.45), AffineMap(1.0), 2.0, 1.0),
+        ((0.0, 0.0, 0.4925), AffineMap(0.05), 2.0, 1.0),
+        ((0.0, 0.3, 0.499j), AffineMap(0.5, 0.2), 2.0, 1.0),
     ]
 
     @pytest.mark.parametrize("expo,psi,power,alpha", EXP_CASES)
@@ -378,23 +380,22 @@ class TestProfile:
 
     def test_ring_maxima_decrease_for_contraction(self):
         prof = berezin_profile(SymbolPair.weighted(ONE, AffineMap(0.5)), 2.0)
-        rings = prof.ring_maxima
+        rings = prof.values.max(axis=1)
         assert np.all(np.diff(rings) < 0)
         # the grid starts at r_min, so the sup sits on the innermost ring
-        assert prof.sup == pytest.approx(np.pi * np.exp(-0.75 * 0.25 ** 2),
-                                         rel=1e-4)
+        assert prof.values.max() == pytest.approx(
+            np.pi * np.exp(-0.75 * 0.25 ** 2), rel=1e-4)
         assert np.all(np.isfinite(prof.values))
 
     def test_expanding_map_grows_toward_the_rim(self):
         prof = berezin_profile(SymbolPair.weighted(ONE, AffineMap(1.2)), 2.0)
-        rings = prof.ring_maxima
+        rings = prof.values.max(axis=1)
         assert rings[-1] > 10 * rings[0]
 
     def test_divergent_exponential_weight_is_infinite(self):
         u = Symbol.exponential(0.0, 0.0, 0.6)
         prof = berezin_profile(SymbolPair.weighted(u, AffineMap(1.0)), 2.0)
         assert np.all(np.isposinf(prof.values))
-        assert prof.sup == math.inf
 
     def test_log_profile_agrees_with_point_evaluation(self):
         pair = SymbolPair.volterra(Z)
@@ -649,20 +650,24 @@ class TestRingRoute:
         rings = spy_ring_levels(monkeypatch)
         points = GridSpec().points(1.0)
         # rows run clockwise, with two points swapped, and off the circle
-        # by more than 1e-12 relative
+        # by more than 1e-12 relative; the last row, the innermost ring,
+        # is a true one, so a level holds origin points of both kinds
         shuffled = np.concatenate([points[:, ::-1],
                                    points[:, np.r_[0, 2, 1, 3:16]],
-                                   points * (1.0 + 1e-10 * np.arange(16))])
+                                   points * (1.0 + 1e-10 * np.arange(16)),
+                                   points[:1]])
         two_d = berezin_log_profile(DEEP_PAIR, 2.0, shuffled)
-        assert not rings
-        np.testing.assert_array_equal(
-            two_d, berezin_log_profile(DEEP_PAIR, 2.0, shuffled.ravel()))
+        assert rings and max(rings) == 16
+        flat = berezin_log_profile(DEEP_PAIR, 2.0, shuffled.ravel())
+        np.testing.assert_array_equal(two_d[:-16], flat[:-16])
+        np.testing.assert_allclose(two_d[-16:], flat[-16:], rtol=0,
+                                   atol=1e-12)
 
 
 class TestWeightScaling:
     """Scaling the weight by lam multiplies B by |lam|^power."""
 
-    SCALES = [1e-3, 2.5 * cmath.exp(0.7j), 1e3]
+    SCALES = [1e-150, 1e-3, 2.5 * cmath.exp(0.7j), 1e3, 1e150]
 
     @staticmethod
     def scaled(pair, lam):
@@ -689,6 +694,10 @@ class TestWeightScaling:
         def verdicts(cls):
             return cls.bounded, cls.compact, cls.schatten
 
+        def estimates(cls):
+            return [cls.norm_estimate] + [cls.evidence["schatten"][t][
+                "estimate"] for t in orders]
+
         orders = (1.0, 2.0, 4.0)
         base = classify_berezin(pair, 2.0, 2.0, schatten_orders=orders)
         assert math.isfinite(base.norm_estimate)
@@ -696,8 +705,8 @@ class TestWeightScaling:
             cls = classify_berezin(self.scaled(pair, lam), 2.0, 2.0,
                                    schatten_orders=orders)
             assert verdicts(cls) == verdicts(base)
-            np.testing.assert_allclose(cls.norm_estimate,
-                                       abs(lam) * base.norm_estimate,
+            np.testing.assert_allclose(estimates(cls),
+                                       abs(lam) * np.array(estimates(base)),
                                        rtol=1e-9)
 
     @pytest.mark.parametrize("pair", [SymbolPair.volterra(Z)]
@@ -710,7 +719,7 @@ class TestWeightScaling:
 
         base = classify_berezin(pair, 4.0, 2.0)
         assert math.isfinite(base.norm_estimate)
-        for lam in (1e-3, 1e3):
+        for lam in (1e-150, 1e-3, 1e3, 1e150):
             cls = classify_berezin(self.scaled(pair, lam), 4.0, 2.0)
             assert verdicts(cls) == verdicts(base)
             np.testing.assert_allclose(cls.norm_estimate,
@@ -743,9 +752,10 @@ class TestRotation:
 
 class TestPowerIntegral:
     def test_monomial_tail_converges_for_high_order(self):
-        value, status = berezin_power_integral(SymbolPair.volterra(Z), 2.0, 2.0)
+        log_value, status = berezin_power_integral(SymbolPair.volterra(Z),
+                                                   2.0, 2.0)
         assert status == "converged"
-        assert 0 < value < math.inf
+        assert math.isfinite(log_value)
 
     def test_monomial_low_order_diverges(self):
         value, status = berezin_power_integral(SymbolPair.volterra(Z), 2.0, 0.5)
@@ -774,25 +784,26 @@ class TestPowerIntegral:
 
     def test_a_power_law_tail_closes_after_annulus_three(self, marched):
         # 34.5172: annuli 0-16 summed, then the exact tail of ratio 2^-0.5
-        value, status = berezin_power_integral(SymbolPair.volterra(Z), 2.0,
-                                               1.25)
+        log_value, status = berezin_power_integral(SymbolPair.volterra(Z),
+                                                   2.0, 1.25)
         assert status == "converged"
         assert marched == [0, 1, 2, 3]
-        np.testing.assert_allclose(value, 34.5172, rtol=0.02)
+        np.testing.assert_allclose(math.exp(log_value), 34.5172, rtol=0.02)
 
     def test_the_tail_closes_past_the_metric_kink(self, marched):
         # At alpha = 16 annulus 3 starts at |w| = 6, where 1 / (1 + |z|) is
         # still far from |z|^-1; the far scale 1 = 4 / sqrt(alpha) closes
         # two annuli later.  1.09336: closed after annulus 12 instead.
         pair = SymbolPair.volterra(Z, alpha=16.0)
-        value, status = berezin_power_integral(pair, 2.0, 1.25)
+        log_value, status = berezin_power_integral(pair, 2.0, 1.25)
         assert status == "converged"
         assert marched == [0, 1, 2, 3, 4, 5]
-        np.testing.assert_allclose(value, 1.09336, rtol=0.02)
+        np.testing.assert_allclose(math.exp(log_value), 1.09336, rtol=0.02)
 
     def test_zero_weight_short_circuits(self):
         pair = SymbolPair.volterra(ONE)  # g' = 0
-        assert berezin_power_integral(pair, 2.0, 1.0) == (0.0, "converged")
+        assert berezin_power_integral(pair, 2.0, 1.0) == (-math.inf,
+                                                          "converged")
 
     def test_gaussian_growth_beyond_decay_diverges(self):
         u = Symbol.exponential(0.0, 0.0, 0.6)
@@ -819,12 +830,13 @@ class TestPowerIntegral:
         big_a = s * c * (1.0 - abs(a) ** 2)
         want = (abs(u0) ** (q * s) * (math.pi / c) ** s * (math.pi / big_a)
                 * math.exp((s * c) ** 2 * abs(b) ** 2 / big_a))
-        value, status = berezin_power_integral(pair, q, s)
+        log_value, status = berezin_power_integral(pair, q, s)
         assert status == "converged"
-        assert abs(value - want) <= 1e-10 * want
+        assert abs(log_value - math.log(want)) <= 1e-10
         t = 2.0 * s
         cls = classify_berezin(pair, 2.0, 2.0, schatten_orders=(t,))
-        assert cls.evidence["schatten"][t]["estimate"] == value ** (1.0 / t)
+        assert cls.evidence["schatten"][t]["estimate"] == pytest.approx(
+            math.exp(log_value / t), rel=1e-15)
 
     @pytest.mark.parametrize("s_exp", [math.nan, math.inf, -math.inf, 0.0])
     def test_exponent_must_be_finite_and_positive(self, s_exp):
@@ -892,6 +904,17 @@ class TestHilbertSchmidt:
                 * math.exp(alpha * abs(b) ** 2
                            + abs(alpha * a * np.conj(b) + q1) ** 2 / decay))
         np.testing.assert_allclose(hilbert_schmidt_integral(pair), want,
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("q2,want", [(0.489, 16.0064),
+                                         (0.4925, 19.9567)])
+    def test_gaussian_weight_near_the_divergence_edge(self, q2, want):
+        # pi / sqrt((1 - |a|^2)^2 - 4 |q2|^2), finite while 2 |q2| < 1 - |a|^2
+        a = 0.05
+        pair = SymbolPair.weighted(Symbol.exponential(q2=q2), AffineMap(a))
+        exact = math.pi / math.sqrt((1.0 - a * a) ** 2 - 4.0 * q2 * q2)
+        assert exact == pytest.approx(want, abs=1e-4)
+        np.testing.assert_allclose(hilbert_schmidt_integral(pair), exact,
                                    rtol=1e-10)
 
     def test_zero_weight(self):

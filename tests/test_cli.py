@@ -113,6 +113,18 @@ class TestClassifyCommand:
         assert payload["bounded"] == "inconclusive"
 
 
+    def test_a_sup_profile_that_does_not_settle_keeps_the_verdicts(
+            self, tmp_path, capsys):
+        data = dict(VOLTERRA_Z, p=2.0, q=2.0, alpha=1e-12)
+        assert run_cli(tmp_path, "classify", data, "--no-cache") == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out)
+        assert (payload["bounded"], payload["compact"]) == ("yes", "yes")
+        assert payload["norm_estimate"] == "nan"
+        assert "levels ran out" in payload["evidence"]["note"]
+
+
 class TestSchattenCommand:
     def test_artifacts_and_agreement_with_direct_svd(self, tmp_path):
         data = dict(VOLTERRA_Z, size=24, orders=[2.0, 4.0])

@@ -25,13 +25,13 @@ Z2 = Symbol.polynomial([0.0, 0.0, 1.0])
 def profile_calls(monkeypatch):
     """Pairs whose sup profile a classify evaluated."""
     calls = []
-    original = criteria.berezin_profile
+    original = criteria.berezin_log_profile
 
-    def spy(pair, power, **kwargs):
+    def spy(pair, power, points, **kwargs):
         calls.append(pair)
-        return original(pair, power, **kwargs)
+        return original(pair, power, points, **kwargs)
 
-    monkeypatch.setattr(criteria, "berezin_profile", spy)
+    monkeypatch.setattr(criteria, "berezin_log_profile", spy)
     return calls
 
 
@@ -110,6 +110,41 @@ class TestClassifySupremum:
         np.testing.assert_allclose(cls.essential_norm_estimate,
                                    math.exp(tail["log_maxima"][-1] / 2.0))
         assert cls.source == "berezin"
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-16])
+    def test_a_sup_profile_that_does_not_settle_keeps_the_verdicts(
+            self, alpha):
+        # kappa = -2 decides both verdicts.  Near 0 the metric kink, of
+        # width 1 under a Gaussian of width 1 / sqrt(alpha), keeps the sup
+        # profile's levels from agreeing: only the norm estimate is lost.
+        cls = classify_berezin(SymbolPair.volterra(Z, alpha=alpha), 2.0, 2.0)
+        tail = cls.evidence["tail"]
+        assert tail["kappa"] == -2.0
+        assert cls.bounded is cls.compact is Verdict.YES
+        assert math.isnan(cls.norm_estimate)
+        assert "levels ran out" in cls.evidence["note"]
+        assert "ring_maxima" not in cls.evidence
+        np.testing.assert_allclose(cls.essential_norm_estimate,
+                                   math.exp(tail["log_maxima"][-1] / 2.0))
+
+    def test_a_weight_past_the_float_range_keeps_its_norm(self):
+        # psi = z gives B = pi |u0|^2 at every w: 1e320 overflows, its log
+        # does not
+        pair = SymbolPair.weighted(Symbol.polynomial([1e160]), AffineMap(1.0))
+        cls = classify_berezin(pair, 2.0, 2.0)
+        want = math.sqrt(math.pi) * 1e160
+        assert cls.norm_estimate == pytest.approx(want, rel=1e-9)
+        assert cls.essential_norm_estimate == pytest.approx(want, rel=1e-9)
+
+    def test_a_sup_below_the_float_range_keeps_its_norm(self):
+        # g = z / sqrt(alpha) at alpha 1e300: B peaks near 0 at about
+        # pi / alpha^2 = pi 1e-600, which underflows; its log does not
+        alpha = 1e300
+        pair = SymbolPair.volterra(
+            Symbol.polynomial([0.0, 1.0 / math.sqrt(alpha)]), alpha=alpha)
+        cls = classify_berezin(pair, 2.0, 2.0)
+        np.testing.assert_allclose(cls.norm_estimate,
+                                   math.sqrt(math.pi) / alpha, rtol=1e-5)
 
     @pytest.mark.parametrize("pair,kappa", [
         (SymbolPair.volterra(Symbol.polynomial([1.0, 3.0, 1.0])), 0.0),
@@ -301,6 +336,27 @@ class TestSupProfileOnlyForBoundedPairs:
         assert cls.bounded is Verdict.YES
         assert profile_calls == [pair]
         assert len(cls.evidence["ring_maxima"]) == GridSpec().radial_count
+
+
+class TestGaussianEdge:
+    """u = e^(0.4925 z^2) under psi = 0.05 z: 2 |q2| = 0.985 lies within
+    2 % of the decay alpha (1 - |a|^2) = 0.9975, and B is finite."""
+
+    U = Symbol.exponential(q2=0.4925)
+
+    def test_weighted_pair_agrees_with_the_oracle(self):
+        pair = SymbolPair.weighted(self.U, AffineMap(0.05))
+        report = consistency_report([pair], 2.0, 2.0, size=32)
+        cls = report.entries[0]["classified"]
+        assert report.comparisons == 5
+        assert not report.mismatches
+        assert (cls.bounded, cls.compact) == (Verdict.YES, Verdict.YES)
+        assert set(cls.schatten.values()) == {Verdict.YES}
+
+    def test_volterra_pair_is_bounded(self):
+        pair = SymbolPair.volterra(self.U, psi=AffineMap(0.05))
+        assert oracle_classify(pair, 2.0, 2.0).bounded is Verdict.YES
+        assert classify_berezin(pair, 2.0, 2.0).bounded is Verdict.YES
 
 
 class TestOracles:

@@ -87,6 +87,35 @@ def test_schatten_verdicts_match_the_oracle(capsys):
     assert broken == []
 
 
+LARGE_ALPHAS = (1e6, 1e8, 1e12, 1e16)
+LARGE_ALPHA_ORDERS = (1.5, 2.5, 3.0, 4.0)
+
+
+def test_schatten_verdicts_hold_at_large_alpha(capsys):
+    # The degree-1 pairs march the power integral out to |w| ~ 1e4, where
+    # the far rings read kappa, however small 1 / sqrt(alpha) is.
+    wrong, broken, inconclusive, checked = [], [], 0, 0
+    for alpha in LARGE_ALPHAS:
+        pairs = random_volterra_family(3, seed=2, degree_max=2, alpha=alpha)
+        assert sorted(pair.symbol.degree for pair in pairs) == [1, 1, 2]
+        for i, pair in enumerate(pairs):
+            cls = classify_berezin(pair, 2.0, 2.0,
+                                   schatten_orders=LARGE_ALPHA_ORDERS)
+            broken += [(alpha, i, b) for b in lattice_breaks(cls)]
+            orc = oracle_classify(pair, 2.0, 2.0,
+                                  schatten_orders=LARGE_ALPHA_ORDERS)
+            for t in LARGE_ALPHA_ORDERS:
+                checked += 1
+                inconclusive += cls.schatten[t] is Verdict.INCONCLUSIVE
+                if _disagree(cls.schatten[t], orc.schatten[t]):
+                    wrong.append((alpha, i, t))
+    _summary(capsys, "schatten at large alpha", checked, wrong, inconclusive)
+    assert checked == 4 * 3 * len(LARGE_ALPHA_ORDERS)
+    assert wrong == []
+    assert inconclusive == 0
+    assert broken == []
+
+
 def _conjugated(pair: SymbolPair) -> SymbolPair:
     """conj(g(conj z)): |g'| reflected in the real axis, B(conj w)."""
     coeffs = np.conj(np.asarray(pair.symbol.poly))
